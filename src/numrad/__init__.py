@@ -47,18 +47,12 @@ from .harness import (
 from .matrixcore import (
     HermEigen,
     PolarParts,
-    SVDResult,
     abs_op,
     adjoint,
     apply_fn,
     as_cmatrix,
-    block2x2,
     general_eigenvalues,
     herm_eigen,
-    inverse,
-    is_hermitian,
-    max_eig,
-    min_eig,
     op_norm,
     polar,
 )

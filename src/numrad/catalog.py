@@ -20,6 +20,7 @@ records those violations honestly.  Claim text lives in each docstring.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +49,10 @@ __all__ = [
     "ATOL",
     "RTOL",
     "ALL_BOUND_IDS",
+    "ALIASES",
+    "FAMILIES",
     "LEMMA_IDS",
+    "Family",
     "BoundReport",
     "LoewnerReport",
     "check_classics",
@@ -63,20 +67,14 @@ __all__ = [
     "check_alpha",
     "check_lemma",
     "evaluate_bound",
+    "evaluate_family",
+    "family_of",
     "required_operands",
     "compatible_signatures",
 ]
 
 ATOL = 1e-9
 RTOL = 1e-9
-
-ALL_BOUND_IDS = (
-    "B01", "B02", "B03", "B04", "B05",
-    "B06", "B06p", "B07", "B08", "B09", "B10",
-    "B11", "B12", "B13", "B14", "B15",
-    "B16a", "B16b", "B17",
-    "B18", "B19", "B20", "B21",
-)
 
 LEMMA_IDS = ("L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09")
 
@@ -443,21 +441,6 @@ def check_symmetrized(a, b, x):
 # B18-B21: the spectral-radius-weighted family under |A*|X = X*|A*|
 
 
-def _alpha_pieces(a, b, x, pair, nu):
-    f, g = get_pair(pair)
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    abs_as = abs_op(a.conj().T)
-    dev = op_norm(abs_as @ x - x.conj().T @ abs_as)
-    comm_ok = dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(x))
-    r = spectral_radius(x)
-    w = numerical_radius(a.conj().T @ x @ b).value
-    f2 = apply_fn(abs_as, lambda t: np.asarray(f.fn(t)) ** 2, (0.0, np.inf))
-    s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
-    s2 = apply_fn(abs_op(a), lambda t: np.asarray(g.fn(t)) ** (2.0 / nu),
-                  (0.0, np.inf))
-    return comm_ok, dev, r, w, s1, s2
-
-
 def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     """B18-B21, radius-squared bounds weighted by the spectral radius of X.
 
@@ -478,7 +461,17 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     hf = _need_kind(h, "increasing")
     if not 0.0 < nu < 1.0:
         raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
-    comm_ok, dev, r, w, s1, s2 = _alpha_pieces(a, b, x, pair, nu)
+    f, g = get_pair(pair)
+    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
+    abs_as, abs_a = abs_op(a.conj().T), abs_op(a)
+    dev = op_norm(abs_as @ x - x.conj().T @ abs_as)
+    comm_ok = dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(x))
+    r = spectral_radius(x)
+    w = numerical_radius(a.conj().T @ x @ b).value
+    f2 = apply_fn(abs_as, lambda t: np.asarray(f.fn(t)) ** 2, (0.0, np.inf))
+    s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
+    s2 = apply_fn(abs_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu),
+                  (0.0, np.inf))
     base = {"pair": str(pair), "h": hf.name, "nu": nu, "r": r,
             "commutation_defect": dev}
     note = "" if comm_ok else f"commutation defect {dev:.3e} exceeds gate"
@@ -496,19 +489,16 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
                          f"spectral radius {r:.6g} exceeds 1" + (
                              "; " + note if note else ""))
 
-    a_m = as_cmatrix(a, "A")
-    b_m = as_cmatrix(b, "B")
-    abs_as = abs_op(a_m.conj().T)
-    t1 = _sym(b_m.conj().T @ psd_pow(abs_as, 2.0 * (1.0 - nu)) @ b_m)
+    t1 = _sym(b.conj().T @ psd_pow(abs_as, 2.0 * (1.0 - nu)) @ b)
     s1p = psd_pow(t1, 1.0 / (1.0 - nu))
-    s2p = psd_pow(abs_op(a_m), 2.0)
+    s2p = psd_pow(abs_a, 2.0)
     r20 = op_norm((1.0 - nu) * apply_fn(r * r * s1p, hf.fn, (0.0, np.inf))
                   + nu * apply_fn(r * r * s2p, hf.fn, (0.0, np.inf)))
     rep20 = _report("B20", hf(w * w), r20, base, comm_ok, note)
 
     p = hf.params[0] if hf.name.startswith("pow:") else 1.0
     r21 = r ** (2.0 * p) * op_norm(
-        (1.0 - nu) * psd_pow(t1, p / (1.0 - nu)) + nu * psd_pow(abs_op(a_m), 2.0 * p)
+        (1.0 - nu) * psd_pow(t1, p / (1.0 - nu)) + nu * psd_pow(abs_a, 2.0 * p)
     )
     rep21 = _report("B21", w ** (2.0 * p), r21, {**base, "p": p}, comm_ok, note)
     return rep18, rep19, rep20, rep21
@@ -718,33 +708,105 @@ def check_lemma(lemma_id: str, **inputs):
 
 
 # ---------------------------------------------------------------------------
-# Single-bound dispatch
+# The family table: the one description of every bound, read by dispatch,
+# campaigns and sharpness comparisons
 
-# operand names each bound consumes, used for validation and for the
-# signature-compatibility test in sharpness comparisons
-_OPERANDS = {
-    "B01": ("a",), "B02": ("a",),
-    "B03": ("a", "b"), "B04": ("a", "b"),
-    "B05": ("a", "b", "x"),
-    "B06": ("a", "b", "x"), "B06p": ("a", "b", "x"), "B07": ("a", "b", "x"),
-    "B08": ("a", "b", "x"), "B09": ("a", "b", "x"), "B10": ("a", "b", "x"),
-    "B11": ("a", "b"), "B12": ("a", "b"),
-    "B13": ("a",), "B15": ("a",),
-    "B14": ("a", "b", "x"),
-    "B16a": ("a", "b", "x"), "B16b": ("a", "b", "x"), "B17": ("a", "b", "x"),
-    "B18": ("a", "b", "x"), "B19": ("a", "b", "x"),
-    "B20": ("a", "b", "x"), "B21": ("a", "b", "x"),
+# default campaign grids, cycled by trial index
+PAIR_GRID = ("sqrt", "pow:0.3", "pow:0.7")
+H_DEC_GRID = ("inv", "inv_pow:0.5", "shifted_inv:1")
+H_INC_GRID = ("pow:1", "pow:2", "expm1")
+H_ALPHA_GRID = ("pow:1", "pow:2")  # expm1 overflows on r^2-scaled spectra
+SIGMA_GRID = ("arith", "geom", "harm")
+NU_GRID = (0.25, 0.5, 0.75)
+P_GRID = (1.0, 2.0, 3.0)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Bounds that one evaluator reports together, in its return order.
+
+    ``name`` salts the campaign seeds, so it never changes.  ``check`` is
+    the evaluator's name in this module, looked up at call time, so a
+    wrapper set on the module attribute sees every call.  The evaluator
+    takes ``operands`` positionally and each key of ``grids`` as a
+    keyword; campaigns cycle each grid by trial index.  ``commuting_x``
+    marks a family whose hypothesis needs X to commute with |A*|.
+    """
+
+    name: str
+    ids: tuple
+    operands: tuple
+    check: str
+    grids: dict = field(default_factory=dict)
+    commuting_x: bool = False
+
+
+_ABX = ("a", "b", "x")
+
+FAMILIES = (
+    Family("classics", ("B01", "B02", "B03", "B04", "B05"), _ABX,
+           "check_classics", {"p": P_GRID}),
+    Family("mean_h", ("B06", "B06p"), _ABX, "check_mean_h",
+           {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID}),
+    Family("mean_h_weighted", ("B07",), _ABX, "check_mean_h_weighted",
+           {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID,
+            "nu": NU_GRID}),
+    Family("omega_harmonic", ("B08", "B09", "B10"), _ABX,
+           "check_omega_harmonic",
+           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
+    Family("mox", ("B11", "B12"), ("a", "b"), "check_mox",
+           {"h": H_INC_GRID, "p": P_GRID}),
+    Family("aluthge", ("B13", "B15"), ("a",), "check_aluthge",
+           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
+    Family("block", ("B14",), _ABX, "check_block"),
+    Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, "check_symmetrized"),
+    Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, "check_alpha",
+           {"pair": PAIR_GRID, "h": H_ALPHA_GRID, "nu": NU_GRID},
+           commuting_x=True),
+)
+
+# campaign shorthands for a claim catalogued as several ids
+ALIASES = {"B06": ("B06", "B06p"), "B16": ("B16a", "B16b")}
+
+# alone, B01-B05 need fewer operands and radius calls than check_classics
+_ONE_BOUND = {
+    "B01": (("a",), lambda a, p: _b01(a, numerical_radius(a).value)),
+    "B02": (("a",), lambda a, p: _b02(a, numerical_radius(a).value)),
+    "B03": (("a", "b"), lambda a, b, p: _b03(a, b, p, _omega_ba(a, b))),
+    "B04": (("a", "b"), lambda a, b, p: _b04(a, b, p, _omega_ba(a, b))),
+    "B05": (_ABX, _b05),
 }
 
+_FAMILY_OF = {bid: fam for fam in FAMILIES for bid in fam.ids}
 
-def required_operands(bound_id: str) -> tuple[str, ...]:
-    """Operand names ('a', 'b', 'x') a bound evaluator consumes."""
+ALL_BOUND_IDS = tuple(sorted(_FAMILY_OF))
+
+
+def family_of(bound_id: str) -> Family:
+    """The family whose evaluator reports ``bound_id``."""
     try:
-        return _OPERANDS[bound_id]
+        return _FAMILY_OF[bound_id]
     except KeyError:
         raise UnknownBoundIdError(
             f"unknown bound {bound_id!r}; known: {', '.join(ALL_BOUND_IDS)}"
         ) from None
+
+
+def evaluate_family(family: Family, mats: dict, **params) -> tuple:
+    """Evaluate a family once on ``mats`` (operand name -> matrix).
+
+    Returns one report per id, in ``family.ids`` order.
+    """
+    out = globals()[family.check](*(mats[n] for n in family.operands),
+                                  **params)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def required_operands(bound_id: str) -> tuple[str, ...]:
+    """Operand names ('a', 'b', 'x') a bound evaluator consumes."""
+    if bound_id in _ONE_BOUND:
+        return _ONE_BOUND[bound_id][0]
+    return family_of(bound_id).operands
 
 
 def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
@@ -752,9 +814,11 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
                    unit_x=None):
     """Evaluate a single catalogued bound by ID.
 
-    Operands not consumed by the bound are ignored; missing required
-    operands raise InvalidSpecError.  ``h`` defaults to "inv" for the
-    decreasing-function family (B06-B07) and "pow:1" elsewhere.
+    Operands and parameters the bound does not consume are ignored;
+    missing required operands raise InvalidSpecError.  ``h`` defaults to
+    the family evaluator's own default: "inv" for the decreasing-function
+    family (B06-B07), "pow:1" elsewhere.  ``unit_x`` reaches only an
+    evaluator that takes it (B06/B06p's).
     """
     need = required_operands(bound_id)
     got = {"a": a, "b": b, "x": x}
@@ -763,40 +827,16 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
         raise InvalidSpecError(
             f"{bound_id} requires operand(s) {', '.join(m.upper() for m in missing)}"
         )
+    if bound_id in _ONE_BOUND:
+        return _ONE_BOUND[bound_id][1](*(got[n] for n in need), p)
 
-    if bound_id == "B01":
-        return _b01(a, numerical_radius(a).value)
-    if bound_id == "B02":
-        return _b02(a, numerical_radius(a).value)
-    if bound_id == "B03":
-        return _b03(a, b, p, _omega_ba(a, b))
-    if bound_id == "B04":
-        return _b04(a, b, p, _omega_ba(a, b))
-    if bound_id == "B05":
-        return _b05(a, b, x, p)
-    if bound_id in ("B06", "B06p"):
-        pair_reports = check_mean_h(a, b, x, pair, h or "inv", sigma, unit_x)
-        return pair_reports[0 if bound_id == "B06" else 1]
-    if bound_id == "B07":
-        return check_mean_h_weighted(a, b, x, pair, h or "inv", sigma, nu)
-    if bound_id in ("B08", "B09", "B10"):
-        triple = check_omega_harmonic(a, b, x, pair, h or "pow:1", p)
-        return triple[("B08", "B09", "B10").index(bound_id)]
-    if bound_id in ("B11", "B12"):
-        pair_reports = check_mox(a, b, h or "pow:1", p)
-        return pair_reports[0 if bound_id == "B11" else 1]
-    if bound_id in ("B13", "B15"):
-        pair_reports = check_aluthge(a, pair, h or "pow:1", p)
-        return pair_reports[0 if bound_id == "B13" else 1]
-    if bound_id == "B14":
-        return check_block(a, b, x)
-    if bound_id in ("B16a", "B16b", "B17"):
-        triple = check_symmetrized(a, b, x)
-        return triple[("B16a", "B16b", "B17").index(bound_id)]
-    if bound_id in ("B18", "B19", "B20", "B21"):
-        quad = check_alpha(a, b, x, pair, h or "pow:1", nu)
-        return quad[("B18", "B19", "B20", "B21").index(bound_id)]
-    raise UnknownBoundIdError(f"unknown bound {bound_id!r}")
+    fam = _FAMILY_OF[bound_id]
+    given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
+    params = {k: given[k] for k in fam.grids if given[k] is not None}
+    if unit_x is not None and \
+            "unit_x" in inspect.signature(globals()[fam.check]).parameters:
+        params["unit_x"] = unit_x
+    return evaluate_family(fam, got, **params)[fam.ids.index(bound_id)]
 
 
 def compatible_signatures(bound_a: str, bound_b: str) -> None:

@@ -154,7 +154,7 @@ _LEMMA_SPEC = {
 }
 
 
-def _run_lemma(args) -> object:
+def _lemma_report(args) -> object:
     operands, param_names = _LEMMA_SPEC[args.bound]
     kwargs = {}
     for flag, kwarg, kind in operands:
@@ -174,7 +174,7 @@ def _run_lemma(args) -> object:
 
 def cmd_check(args) -> int:
     if args.bound in LEMMA_IDS:
-        rep = _run_lemma(args)
+        rep = _lemma_report(args)
     elif args.bound in ALL_BOUND_IDS:
         kwargs = {}
         for flag, kw in (("A", "a"), ("B", "b"), ("X", "x")):

@@ -22,10 +22,6 @@ class NotPositiveDefiniteError(NumradError):
     """Matrix is not positive definite to working precision."""
 
 
-class SingularMatrixError(NumradError):
-    """Matrix is singular or too ill-conditioned to invert."""
-
-
 class DimensionMismatchError(NumradError):
     """Operand shapes are incompatible."""
 
@@ -52,7 +48,3 @@ class UnknownBoundIdError(NumradError):
 
 class IncompatibleBoundsError(NumradError):
     """Requested comparison needs bounds with matching input arity."""
-
-
-class NoConvergenceError(NumradError):
-    """Iterative routine exhausted its budget without meeting tolerance."""

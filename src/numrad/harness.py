@@ -21,24 +21,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import (
+from .catalog import (  # the grids are re-exported for callers of this module
+    ALIASES,
     ALL_BOUND_IDS,
-    check_alpha,
-    check_aluthge,
+    FAMILIES,
+    H_ALPHA_GRID,
+    H_DEC_GRID,
+    H_INC_GRID,
+    NU_GRID,
+    P_GRID,
+    PAIR_GRID,
+    SIGMA_GRID,
     check_block,
-    check_classics,
-    check_mean_h,
-    check_mean_h_weighted,
-    check_mox,
-    check_omega_harmonic,
-    check_symmetrized,
     compatible_signatures,
     evaluate_bound,
+    evaluate_family,
+    family_of,
     required_operands,
 )
 from .errors import InvalidSpecError
 from .matrixcore import abs_op, as_cmatrix, op_norm
-from .radii import numerical_radius, spectral_radius
+from .radii import spectral_radius
 
 __all__ = [
     "EnsembleSpec",
@@ -63,14 +66,6 @@ ENSEMBLE_KINDS = (
     "commuting-with-absA*",
 )
 
-# default parameter grids, cycled by trial index
-PAIR_GRID = ("sqrt", "pow:0.3", "pow:0.7")
-H_DEC_GRID = ("inv", "inv_pow:0.5", "shifted_inv:1")
-H_INC_GRID = ("pow:1", "pow:2", "expm1")
-H_ALPHA_GRID = ("pow:1", "pow:2")  # expm1 overflows on r^2-scaled spectra
-SIGMA_GRID = ("arith", "geom", "harm")
-NU_GRID = (0.25, 0.5, 0.75)
-P_GRID = (1.0, 2.0, 3.0)
 U_GRID = (0.25, 0.5, 0.75, 1.0)  # target spectral radii for scaled-X trials
 
 
@@ -215,13 +210,7 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
 def _expand_bounds(bounds) -> tuple[str, ...]:
     out: list[str] = []
     for b in bounds:
-        if b == "B06" and "B06" in ALL_BOUND_IDS:
-            expanded = ("B06", "B06p")
-        elif b == "B16":
-            expanded = ("B16a", "B16b")
-        else:
-            expanded = (b,)
-        for e in expanded:
+        for e in ALIASES.get(b, (b,)):
             required_operands(e)  # raises UnknownBoundId for junk
             if e not in out:
                 out.append(e)
@@ -232,10 +221,11 @@ def _expand_bounds(bounds) -> tuple[str, ...]:
 class CampaignConfig:
     """What to run: bound IDs, trial count, dimension cycle, seed, grids.
 
-    ``params`` maps a bound ID to {"p": ..., "nu": ..., "pair": ...,
-    "h": ..., "sigma": ...}; values may be scalars or lists (cycled by
-    trial index).  An override on any ID in a family applies to the
-    family's shared evaluation.
+    ``params`` maps a bound ID to overrides of its family's grids, a
+    subset of {"p": ..., "nu": ..., "pair": ..., "h": ..., "sigma": ...};
+    values may be scalars or nonempty lists (cycled by trial index).  An
+    override on any ID in a family applies to the family's shared
+    evaluation.
     """
 
     bounds: tuple = ALL_BOUND_IDS
@@ -253,122 +243,54 @@ class CampaignConfig:
             raise InvalidSpecError("trials must be >= 1")
         if not self.dims or any(not 1 <= d <= 16 for d in self.dims):
             raise InvalidSpecError("dims must be a nonempty list within 1..16")
+        for bid, override in self.params.items():
+            grids = family_of(bid).grids
+            for key, v in override.items():
+                if key not in grids:
+                    raise InvalidSpecError(
+                        f"{bid} has no parameter {key!r}; its family takes "
+                        f"{', '.join(grids) or 'none'}")
+                if isinstance(v, (list, tuple)) and not v:
+                    raise InvalidSpecError(f"{bid} {key}: empty list")
 
 
-def _fam_param(cfg: CampaignConfig, ids, key, default_grid, t):
-    for bid in ids:
+def _fam_param(cfg: CampaignConfig, family, key, t):
+    """Trial t's value of ``key``: the first override on any of the
+    family's IDs, else the family's grid, lists cycled by trial index."""
+    v = family.grids[key]
+    for bid in family.ids:
         override = cfg.params.get(bid, {})
         if key in override:
             v = override[key]
-            if isinstance(v, (list, tuple)):
-                return v[t % len(v)]
-            return v
-    return default_grid[t % len(default_grid)]
+            break
+    if isinstance(v, (list, tuple)):
+        v = v[t % len(v)]
+    return float(v) if key in ("p", "nu") else v
 
 
-def _triple(rng, n):
-    return _ginibre(rng, n), _ginibre(rng, n), _ginibre(rng, n)
+def _trial(family, cfg, t, dim, seed, commuting):
+    """Draw trial t's inputs for ``family`` and evaluate the family once.
 
+    One Ginibre matrix per operand, in a, b, x order.  With ``commuting``,
+    X is instead a polynomial in |A*|, rescaled on odd trials to a
+    spectral radius from U_GRID so the r(X) <= 1 branches get exercised.
+    Returns (reports in ``family.ids`` order, operand name -> matrix).
+    """
+    rng = _rng(seed)
+    mats = {}
+    for name in family.operands:
+        if name == "x" and commuting:
+            x = _commuting(rng, mats["a"])
+            if t % 2 == 1:
+                r = spectral_radius(x)
+                if r > 0:
+                    x = x * (U_GRID[(t // 2) % len(U_GRID)] / r)
+            mats["x"] = x
+        else:
+            mats[name] = _ginibre(rng, dim)
+    params = {key: _fam_param(cfg, family, key, t) for key in family.grids}
+    return evaluate_family(family, mats, **params), mats
 
-def _run_classics(cfg, t, dim, rng):
-    a, b, x = _triple(rng, dim)
-    p = float(_fam_param(cfg, ("B03", "B04", "B05"), "p", P_GRID, t))
-    reports = check_classics(a, b, x, p)
-    return list(zip(("B01", "B02", "B03", "B04", "B05"), reports)), \
-        {"a": a, "b": b, "x": x}
-
-
-def _run_mean_h(cfg, t, dim, rng):
-    ids = ("B06", "B06p")
-    a, b, x = _triple(rng, dim)
-    pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-    h = _fam_param(cfg, ids, "h", H_DEC_GRID, t)
-    sigma = _fam_param(cfg, ids, "sigma", SIGMA_GRID, t)
-    reports = check_mean_h(a, b, x, pair, h, sigma)
-    return list(zip(ids, reports)), {"a": a, "b": b, "x": x}
-
-
-def _run_mean_h_weighted(cfg, t, dim, rng):
-    ids = ("B07",)
-    a, b, x = _triple(rng, dim)
-    pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-    h = _fam_param(cfg, ids, "h", H_DEC_GRID, t)
-    sigma = _fam_param(cfg, ids, "sigma", SIGMA_GRID, t)
-    nu = float(_fam_param(cfg, ids, "nu", NU_GRID, t))
-    return [("B07", check_mean_h_weighted(a, b, x, pair, h, sigma, nu))], \
-        {"a": a, "b": b, "x": x}
-
-
-def _run_omega_harmonic(cfg, t, dim, rng):
-    ids = ("B08", "B09", "B10")
-    a, b, x = _triple(rng, dim)
-    pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-    h = _fam_param(cfg, ids, "h", H_INC_GRID, t)
-    p = float(_fam_param(cfg, ids, "p", P_GRID, t))
-    reports = check_omega_harmonic(a, b, x, pair, h, p)
-    return list(zip(ids, reports)), {"a": a, "b": b, "x": x}
-
-
-def _run_mox(cfg, t, dim, rng):
-    ids = ("B11", "B12")
-    a = _ginibre(rng, dim)
-    b = _ginibre(rng, dim)
-    h = _fam_param(cfg, ids, "h", H_INC_GRID, t)
-    p = float(_fam_param(cfg, ids, "p", P_GRID, t))
-    reports = check_mox(a, b, h, p)
-    return list(zip(ids, reports)), {"a": a, "b": b}
-
-
-def _run_aluthge(cfg, t, dim, rng):
-    ids = ("B13", "B15")
-    a = _ginibre(rng, dim)
-    pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-    h = _fam_param(cfg, ids, "h", H_INC_GRID, t)
-    p = float(_fam_param(cfg, ids, "p", P_GRID, t))
-    reports = check_aluthge(a, pair, h, p)
-    return list(zip(ids, reports)), {"a": a}
-
-
-def _run_block(cfg, t, dim, rng):
-    a, b, x = _triple(rng, dim)
-    return [("B14", check_block(a, b, x))], {"a": a, "b": b, "x": x}
-
-
-def _run_symmetrized(cfg, t, dim, rng):
-    a, b, x = _triple(rng, dim)
-    reports = check_symmetrized(a, b, x)
-    return list(zip(("B16a", "B16b", "B17"), reports)), {"a": a, "b": b, "x": x}
-
-
-def _run_alpha(cfg, t, dim, rng):
-    ids = ("B18", "B19", "B20", "B21")
-    a = _ginibre(rng, dim)
-    b = _ginibre(rng, dim)
-    x = _commuting(rng, a)
-    if t % 2 == 1:
-        # scaled trials guarantee r(X) <= 1 so B19 gets exercised
-        r = spectral_radius(x)
-        if r > 0:
-            u = U_GRID[(t // 2) % len(U_GRID)]
-            x = x * (u / r)
-    pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-    h = _fam_param(cfg, ids, "h", H_ALPHA_GRID, t)
-    nu = float(_fam_param(cfg, ids, "nu", NU_GRID, t))
-    reports = check_alpha(a, b, x, pair, h, nu)
-    return list(zip(ids, reports)), {"a": a, "b": b, "x": x}
-
-
-_FAMILIES = (
-    ("classics", ("B01", "B02", "B03", "B04", "B05"), _run_classics),
-    ("mean_h", ("B06", "B06p"), _run_mean_h),
-    ("mean_h_weighted", ("B07",), _run_mean_h_weighted),
-    ("omega_harmonic", ("B08", "B09", "B10"), _run_omega_harmonic),
-    ("mox", ("B11", "B12"), _run_mox),
-    ("aluthge", ("B13", "B15"), _run_aluthge),
-    ("block", ("B14",), _run_block),
-    ("symmetrized", ("B16a", "B16b", "B17"), _run_symmetrized),
-    ("alpha", ("B18", "B19", "B20", "B21"), _run_alpha),
-)
 
 # params worth persisting in a failure record: exactly the kwargs
 # evaluate_bound accepts, so records replay standalone
@@ -425,6 +347,12 @@ class CampaignReport:
         return lines
 
 
+def _row(bid, t, dim, seed, rep, status) -> dict:
+    return {"bound_id": bid, "trial": t, "dim": dim, "seed": seed,
+            "lhs": float(rep.lhs), "rhs": float(rep.rhs),
+            "slack": float(rep.slack), "status": status}
+
+
 def _stats_blank():
     return {"trials": 0, "passed": 0, "failed": 0, "skipped": 0,
             "min_slack": None, "mean_slack": None}
@@ -440,8 +368,8 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     hypothesis gate reports false.  Identical configs produce identical
     reports.
 
-    ``with_info`` appends verdict-free rows probing the B18-B21 family
-    on unconstrained (non-commuting) X, tagged status "info".
+    ``with_info`` appends verdict-free rows probing each commuting-X
+    family (B18-B21) on unconstrained X, tagged status "info".
     """
     report = CampaignReport(config={
         "bounds": list(cfg.bounds),
@@ -453,19 +381,20 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
         "rtol": cfg.rtol,
     })
     slack_accum: dict = {}
-    for fam_name, ids, runner in _FAMILIES:
-        wanted = [i for i in ids if i in cfg.bounds]
+    for family in FAMILIES:
+        wanted = [i for i in family.ids if i in cfg.bounds]
         if not wanted:
             continue
         for bid in wanted:
             report.per_bound[bid] = _stats_blank()
             slack_accum[bid] = []
-        salt = zlib.crc32(fam_name.encode())
+        salt = zlib.crc32(family.name.encode())
         for t in range(cfg.trials):
             dim = cfg.dims[t % len(cfg.dims)]
             seed = mix_seed(cfg.seed, salt, t)
-            pairs, inputs = runner(cfg, t, dim, _rng(seed))
-            for bid, rep in pairs:
+            reports, inputs = _trial(family, cfg, t, dim, seed,
+                                     family.commuting_x)
+            for bid, rep in zip(family.ids, reports):
                 if bid not in wanted:
                     continue
                 stats = report.per_bound[bid]
@@ -494,11 +423,7 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
                                 for name in required_operands(bid)
                             },
                         })
-                report.rows.append({
-                    "bound_id": bid, "trial": t, "dim": dim, "seed": seed,
-                    "lhs": float(rep.lhs), "rhs": float(rep.rhs),
-                    "slack": float(rep.slack), "status": status,
-                })
+                report.rows.append(_row(bid, t, dim, seed, rep, status))
     for bid, slacks in slack_accum.items():
         if slacks:
             report.per_bound[bid]["min_slack"] = float(min(slacks))
@@ -509,34 +434,25 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
 
 
 def _unconstrained_alpha_rows(cfg: CampaignConfig) -> list:
-    """Probe B18-B21 with plain ginibre X (commutation broken on purpose).
+    """Probe commuting-X families (B18-B21) with plain Ginibre X.
 
     These claims are only stated under the commutation hypothesis, so
     the rows carry status "info" and no verdict; they exist to document
     behavior outside the hypothesis.
     """
     rows = []
-    salt = zlib.crc32(b"alpha-unconstrained")
-    ids = ("B18", "B19", "B20", "B21")
-    wanted = [i for i in ids if i in cfg.bounds]
-    if not wanted:
-        return rows
-    for t in range(cfg.trials):
-        dim = cfg.dims[t % len(cfg.dims)]
-        seed = mix_seed(cfg.seed, salt, t)
-        rng = _rng(seed)
-        a, b, x = _triple(rng, dim)
-        pair = _fam_param(cfg, ids, "pair", PAIR_GRID, t)
-        h = _fam_param(cfg, ids, "h", H_ALPHA_GRID, t)
-        nu = float(_fam_param(cfg, ids, "nu", NU_GRID, t))
-        for bid, rep in zip(ids, check_alpha(a, b, x, pair, h, nu)):
-            if bid not in wanted:
-                continue
-            rows.append({
-                "bound_id": bid, "trial": t, "dim": dim, "seed": seed,
-                "lhs": float(rep.lhs), "rhs": float(rep.rhs),
-                "slack": float(rep.slack), "status": "info",
-            })
+    for family in FAMILIES:
+        wanted = [i for i in family.ids if i in cfg.bounds]
+        if not (family.commuting_x and wanted):
+            continue
+        salt = zlib.crc32(f"{family.name}-unconstrained".encode())
+        for t in range(cfg.trials):
+            dim = cfg.dims[t % len(cfg.dims)]
+            seed = mix_seed(cfg.seed, salt, t)
+            reports, _ = _trial(family, cfg, t, dim, seed, False)
+            rows.extend(_row(bid, t, dim, seed, rep, "info")
+                        for bid, rep in zip(family.ids, reports)
+                        if bid in wanted)
     return rows
 
 
@@ -611,11 +527,8 @@ def reference_examples() -> tuple:
     s = (a2.conj().T @ abs_op(x2.conj().T) @ a2
          + b2.conj().T @ abs_op(x2) @ b2)
     r3 = 0.5 * op_norm(0.5 * (s + s.conj().T))
-    t1 = 0.25 * op_norm(a2 @ a2.conj().T @ x2 + x2 @ b2 @ b2.conj().T)
-    w1 = numerical_radius(x2 @ b2 @ a2.conj().T).value
-    w2 = numerical_radius(b2 @ a2.conj().T @ x2).value
-    r4 = t1 + 0.5 * max(w1, w2)
-    r5 = numerical_radius(a2.conj().T @ x2 @ b2).value
+    block = check_block(a2, b2, x2)  # B14: rhs is the bound, lhs w(A*XB)
+    r4, r5 = block.rhs, block.lhs
 
     return (
         _ref_row("ex1.quarter_norm", r1, 7.5432, 5e-4),
@@ -655,8 +568,8 @@ def sharpness_compare(bound_a: str, bound_b: str,
     """Which bound's right side is tighter on a shared ensemble?
 
     Both bounds must consume the same operands.  Each trial draws one
-    shared input tuple (the commuting-X ensemble when either bound
-    belongs to the B18-B21 family), evaluates both right sides, and
+    shared input tuple (the commuting-X ensemble when either bound's
+    family needs it, as B18-B21 do), evaluates both right sides, and
     counts wins; gap = rhs_b - rhs_a, so positive mean gap means
     bound_a is the tighter one.  Pass ``inputs`` (a tuple of matrices
     matching the operand list) to compare on fixed inputs instead.
@@ -672,11 +585,15 @@ def sharpness_compare(bound_a: str, bound_b: str,
         rb = evaluate_bound(bound_b, **kwargs, **params_b)
         return ra, rb
 
-    alpha_ids = {"B18", "B19", "B20", "B21"}
-    use_commuting = bound_a in alpha_ids or bound_b in alpha_ids
+    use_commuting = (family_of(bound_a).commuting_x
+                     or family_of(bound_b).commuting_x)
 
     draws = []
     if inputs is not None:
+        if len(inputs) != len(operands):
+            raise InvalidSpecError(
+                f"{bound_a} takes {len(operands)} input(s) "
+                f"({', '.join(operands)}), got {len(inputs)}")
         draws.append(tuple(inputs))
         trials = 1
     else:

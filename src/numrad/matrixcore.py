@@ -3,7 +3,7 @@
 All functions accept anything ``np.asarray`` can turn into a 2-D complex
 array and validate shape/finiteness up front, so downstream code never has
 to re-check.  Matrices are plain ``complex128`` ndarrays; structured results
-(eigen/SVD/polar factorizations) come back as small frozen dataclasses.
+(eigen and polar factorizations) come back as small frozen dataclasses.
 
 Conventions:
 
@@ -23,38 +23,24 @@ from .errors import (
     DomainViolationError,
     NotHermitianError,
     NotSquareError,
-    SingularMatrixError,
 )
 
 __all__ = [
     "HermEigen",
-    "SVDResult",
     "PolarParts",
     "as_cmatrix",
     "adjoint",
-    "add",
-    "sub",
-    "matmul",
-    "scale",
-    "is_hermitian",
     "herm_eigen",
     "general_eigenvalues",
     "op_norm",
-    "min_eig",
-    "max_eig",
     "abs_op",
-    "inverse",
-    "svd_parts",
     "polar",
     "apply_fn",
-    "block2x2",
 ]
 
 # Relative tolerance for "is this Hermitian / inside the domain" decisions.
 HERM_TOL = 1e-10
 DOMAIN_TOL = 1e-10
-# Singular values below this fraction of the largest are treated as zero.
-INVERT_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +59,6 @@ class HermEigen:
         w = self.eigenvalues if values is None else np.asarray(values)
         v = self.eigenvectors
         return (v * w) @ v.conj().T
-
-
-@dataclass(frozen=True, eq=False)
-class SVDResult:
-    """Thin singular value decomposition A = U diag(s) Vh."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,45 +94,6 @@ def _require_square(a: np.ndarray, name: str) -> None:
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose A*."""
     return as_cmatrix(a, "A").conj().T
-
-
-def add(a, b) -> np.ndarray:
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a - b
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape} by {b.shape}"
-        )
-    return a @ b
-
-
-def scale(c: complex, a) -> np.ndarray:
-    return complex(c) * as_cmatrix(a, "A")
-
-
-def is_hermitian(a, tol: float = HERM_TOL) -> bool:
-    """True when ||A - A*||_F <= tol * (1 + ||A||_F)."""
-    a = as_cmatrix(a, "A")
-    if a.shape[0] != a.shape[1]:
-        return False
-    dev = np.linalg.norm(a - a.conj().T)
-    return bool(dev <= tol * (1.0 + np.linalg.norm(a)))
 
 
 def herm_eigen(h, tol: float = HERM_TOL) -> HermEigen:
@@ -196,22 +134,6 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def min_eig(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    e = herm_eigen(h)
-    if e.eigenvalues.size == 0:
-        raise NotSquareError("min_eig of an empty matrix is undefined")
-    return float(e.eigenvalues[0])
-
-
-def max_eig(h) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    e = herm_eigen(h)
-    if e.eigenvalues.size == 0:
-        raise NotSquareError("max_eig of an empty matrix is undefined")
-    return float(e.eigenvalues[-1])
-
-
 def abs_op(a) -> np.ndarray:
     """Modulus |A| = (A* A)^(1/2), positive semidefinite.
 
@@ -225,31 +147,6 @@ def abs_op(a) -> np.ndarray:
     e = herm_eigen(gram, tol=1e-8)
     w = np.sqrt(np.clip(e.eigenvalues, 0.0, None))
     return e.compose(w)
-
-
-def inverse(a) -> np.ndarray:
-    """Inverse of a square matrix, guarded against ill-conditioning.
-
-    Raises SingularMatrixError when the smallest singular value does not
-    exceed ``1e-12 * ||A||``.
-    """
-    a = as_cmatrix(a, "A")
-    _require_square(a, "A")
-    if a.size == 0:
-        return a.copy()
-    u, s, vh = np.linalg.svd(a)
-    if s[-1] <= INVERT_RTOL * s[0] or s[0] == 0.0:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (smin={s[-1]:.3e}, smax={s[0]:.3e})"
-        )
-    return (vh.conj().T * (1.0 / s)) @ u.conj().T
-
-
-def svd_parts(a) -> SVDResult:
-    """Thin SVD wrapper returning an SVDResult."""
-    a = as_cmatrix(a, "A")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SVDResult(u, s, vh)
 
 
 def polar(a) -> PolarParts:
@@ -291,14 +188,3 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
     if vals.shape != w.shape:
         raise ValueError(f"{name} must map eigenvalues elementwise")
     return e.compose(vals)
-
-
-def block2x2(a, b, c, d) -> np.ndarray:
-    """Assemble [[A, B], [C, D]] with conformability checks."""
-    a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
-    c, d = as_cmatrix(c, "C"), as_cmatrix(d, "D")
-    if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0]:
-        raise DimensionMismatchError("row blocks must share heights")
-    if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
-        raise DimensionMismatchError("column blocks must share widths")
-    return np.block([[a, b], [c, d]])

@@ -5,7 +5,15 @@ import pytest
 
 from numrad.catalog import (
     ALL_BOUND_IDS,
+    FAMILIES,
+    H_ALPHA_GRID,
+    H_DEC_GRID,
+    H_INC_GRID,
     LEMMA_IDS,
+    NU_GRID,
+    P_GRID,
+    PAIR_GRID,
+    SIGMA_GRID,
     aluthge_transform,
     check_alpha,
     check_aluthge,
@@ -452,14 +460,58 @@ def test_lemma_dispatch_validation():
 # ----------------------------------------------------------------- dispatch
 
 def test_evaluate_bound_matches_family_runners():
+    # every id, with non-default parameters from the campaign grids;
+    # parameters a bound does not consume are passed and must be ignored
     rng = np.random.default_rng(79)
     a, b, x = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
-    direct = evaluate_bound("B03", a=a, b=b, p=2.0)
-    family = check_classics(a, b, x, p=2.0)[2]
-    assert direct.lhs == family.lhs and direct.rhs == family.rhs
-    direct = evaluate_bound("B17", a=a, b=b, x=x)
-    family = check_symmetrized(a, b, x)[2]
-    assert direct.lhs == family.lhs and direct.rhs == family.rhs
+    p, nu, pair, sigma = P_GRID[2], NU_GRID[0], PAIR_GRID[1], SIGMA_GRID[2]
+    h_dec, h_inc, h_alpha = H_DEC_GRID[1], H_INC_GRID[1], H_ALPHA_GRID[1]
+    runners = [
+        (("B01", "B02", "B03", "B04", "B05"), check_classics(a, b, x, p), None),
+        (("B06", "B06p"), check_mean_h(a, b, x, pair, h_dec, sigma), h_dec),
+        (("B07",), (check_mean_h_weighted(a, b, x, pair, h_dec, sigma, nu),),
+         h_dec),
+        (("B08", "B09", "B10"), check_omega_harmonic(a, b, x, pair, h_inc, p),
+         h_inc),
+        (("B11", "B12"), check_mox(a, b, h_inc, p), h_inc),
+        (("B13", "B15"), check_aluthge(a, pair, h_inc, p), h_inc),
+        (("B14",), (check_block(a, b, x),), None),
+        (("B16a", "B16b", "B17"), check_symmetrized(a, b, x), None),
+        (("B18", "B19", "B20", "B21"), check_alpha(a, b, x, pair, h_alpha, nu),
+         h_alpha),
+    ]
+    assert sorted(bid for ids, _, _ in runners for bid in ids) \
+        == sorted(ALL_BOUND_IDS)
+    for ids, reports, h in runners:
+        for bid, family in zip(ids, reports):
+            direct = evaluate_bound(bid, a=a, b=b, x=x, p=p, nu=nu, pair=pair,
+                                    h=h, sigma=sigma)
+            assert direct.bound_id == bid
+            assert direct.lhs.hex() == family.lhs.hex(), bid
+            assert direct.rhs.hex() == family.rhs.hex(), bid
+
+
+def test_family_table_is_pinned():
+    # family names salt the campaign seeds, family order sets the row
+    # order, and ALL_BOUND_IDS is the default bound list in the JSON config
+    assert [(f.name, f.ids) for f in FAMILIES] == [
+        ("classics", ("B01", "B02", "B03", "B04", "B05")),
+        ("mean_h", ("B06", "B06p")),
+        ("mean_h_weighted", ("B07",)),
+        ("omega_harmonic", ("B08", "B09", "B10")),
+        ("mox", ("B11", "B12")),
+        ("aluthge", ("B13", "B15")),
+        ("block", ("B14",)),
+        ("symmetrized", ("B16a", "B16b", "B17")),
+        ("alpha", ("B18", "B19", "B20", "B21")),
+    ]
+    assert ALL_BOUND_IDS == (
+        "B01", "B02", "B03", "B04", "B05",
+        "B06", "B06p", "B07", "B08", "B09", "B10",
+        "B11", "B12", "B13", "B14", "B15",
+        "B16a", "B16b", "B17",
+        "B18", "B19", "B20", "B21",
+    )
 
 
 def test_evaluate_bound_h_defaults_per_family():

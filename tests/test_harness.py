@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from numrad.errors import IncompatibleBoundsError, InvalidSpecError
+from numrad.errors import (
+    IncompatibleBoundsError,
+    InvalidSpecError,
+    UnknownBoundIdError,
+)
 from numrad.harness import (
     CampaignConfig,
     EnsembleSpec,
@@ -134,6 +138,23 @@ def test_campaign_config_validation():
         CampaignConfig(dims=())
     with pytest.raises(InvalidSpecError):
         CampaignConfig(dims=(0, 3))
+
+
+def test_campaign_params_reject_unknown_bound():
+    with pytest.raises(UnknownBoundIdError):
+        CampaignConfig(params={"B99": {"p": 2.0}})
+
+
+def test_campaign_params_reject_key_outside_family_grids():
+    with pytest.raises(InvalidSpecError):
+        CampaignConfig(params={"B03": {"P": 2.0}})
+    with pytest.raises(InvalidSpecError):
+        CampaignConfig(params={"B14": {"p": 2.0}})  # B14 takes no parameter
+
+
+def test_campaign_params_reject_empty_list():
+    with pytest.raises(InvalidSpecError):
+        CampaignConfig(params={"B03": {"p": []}})
 
 
 def test_campaign_counts_add_up():
@@ -290,6 +311,13 @@ def test_sharpness_alpha_family_uses_commuting_draws():
                             cfg=CampaignConfig(trials=6, seed=8))
     # commuting draws keep the hypothesis, so nothing is skipped
     assert rep.skipped == 0
+
+
+def test_sharpness_rejects_wrong_input_count():
+    with pytest.raises(InvalidSpecError):
+        sharpness_compare("B14", "B05", inputs=(EX2_A, EX2_B, EX2_X, EX2_X))
+    with pytest.raises(InvalidSpecError):
+        sharpness_compare("B14", "B05", inputs=(EX2_A, EX2_B))
 
 
 def test_sharpness_rejects_mismatched_signatures():

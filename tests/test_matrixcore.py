@@ -7,27 +7,16 @@ from numrad.errors import (
     DomainViolationError,
     NotHermitianError,
     NotSquareError,
-    SingularMatrixError,
 )
 from numrad.matrixcore import (
     abs_op,
     adjoint,
-    add,
     apply_fn,
     as_cmatrix,
-    block2x2,
     general_eigenvalues,
     herm_eigen,
-    inverse,
-    is_hermitian,
-    matmul,
-    max_eig,
-    min_eig,
     op_norm,
     polar,
-    scale,
-    sub,
-    svd_parts,
 )
 
 
@@ -54,18 +43,6 @@ def test_as_cmatrix_rejects_nonfinite():
 def test_adjoint_is_conjugate_transpose():
     a = np.array([[1 + 2j, 3], [4j, 5]])
     assert_allclose(adjoint(a), a.conj().T)
-
-
-def test_arithmetic_shape_checks():
-    a = np.eye(2)
-    b = np.eye(3)
-    with pytest.raises(DimensionMismatchError):
-        add(a, b)
-    with pytest.raises(DimensionMismatchError):
-        sub(a, b)
-    with pytest.raises(DimensionMismatchError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    assert_allclose(scale(2j, a), 2j * a)
 
 
 def test_herm_eigen_hand_values():
@@ -97,12 +74,6 @@ def test_herm_eigen_tolerates_roundoff_asymmetry():
     assert e.eigenvalues[0] < e.eigenvalues[1]
 
 
-def test_is_hermitian():
-    assert is_hermitian([[2, 1j], [-1j, 0]])
-    assert not is_hermitian([[0, 1], [0, 0]])
-    assert not is_hermitian(np.zeros((2, 3)))
-
-
 def test_general_eigenvalues_companion():
     # companion matrix of t^2 - 1 has eigenvalues +-1
     c = np.array([[0, 1], [1, 0]])
@@ -113,8 +84,6 @@ def test_general_eigenvalues_companion():
 def test_op_norm_and_extremal_eigs():
     a = np.diag([3.0, -7.0])
     assert op_norm(a) == pytest.approx(7.0)
-    assert min_eig(a) == pytest.approx(-7.0)
-    assert max_eig(a) == pytest.approx(3.0)
 
 
 def test_abs_op_jordan():
@@ -127,15 +96,8 @@ def test_abs_op_is_psd_and_squares_to_gram():
         n = rng.integers(1, 6)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         m = abs_op(a)
-        assert min_eig(m) >= -1e-10
+        assert herm_eigen(m).eigenvalues[0] >= -1e-10
         assert_allclose(m @ m, a.conj().T @ a, atol=1e-9 * (1 + op_norm(a)) ** 2)
-
-
-def test_inverse_roundtrip_and_singular_guard():
-    a = np.array([[1, 2], [3, 4.0]])
-    assert_allclose(inverse(a) @ a, np.eye(2), atol=1e-12)
-    with pytest.raises(SingularMatrixError):
-        inverse([[1, 1], [1, 1]])
 
 
 def test_polar_reconstruction_and_unitarity():
@@ -163,12 +125,6 @@ def test_polar_requires_square():
         polar(np.zeros((2, 3)))
 
 
-def test_svd_parts_reconstructs():
-    a = np.array([[1, 2, 0], [0, 1, 1.0]])
-    r = svd_parts(a)
-    assert_allclose((r.u * r.s) @ r.vh, a, atol=1e-12)
-
-
 def test_apply_fn_matches_scalar_calculus():
     h = np.diag([1.0, 4.0])
     assert_allclose(apply_fn(h, np.sqrt, (0, np.inf)), np.diag([1.0, 2.0]),
@@ -185,15 +141,6 @@ def test_apply_fn_clamps_edge_roundoff():
     h = np.diag([-1e-14, 1.0])
     out = apply_fn(h, np.sqrt, (0.0, np.inf))
     assert np.all(np.isfinite(out))
-
-
-def test_block2x2_assembles_and_checks():
-    z = np.zeros((2, 2))
-    i2 = np.eye(2)
-    blk = block2x2(i2, z, z, i2)
-    assert_allclose(blk, np.eye(4))
-    with pytest.raises(DimensionMismatchError):
-        block2x2(i2, np.zeros((3, 2)), z, i2)
 
 
 def test_degenerate_sizes():
