@@ -33,13 +33,12 @@ from .errors import (
 )
 from .matrixcore import abs_op, adjoint, apply_fn, as_cmatrix, herm_eigen, op_norm, polar
 from .meansfuncs import (
-    PD_TOL,
     compress,
     eval_fn,
     get_fn,
     get_pair,
-    kantorovich,
     mean,
+    pd_test,
     psd_pow,
     spectrum_bounds,
 )
@@ -81,6 +80,13 @@ LEMMA_IDS = ("L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09")
 # commutation gate for the B18-B21 family
 ALPHA_COMM_TOL = 1e-8
 
+# lemma tolerances: L02's Loewner floor, L04's brute-force sup grid and the
+# agreement it can reach, L05's agreement of two radius computations
+L02_ATOL = 1e-8
+L04_GRID = 6001
+L04_TOL = 1e-5
+L05_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -94,6 +100,13 @@ class BoundReport:
     hypothesis_ok: bool = True
     note: str = ""
     params: dict = field(default_factory=dict)
+
+    def status(self, atol: float = ATOL, rtol: float = RTOL) -> str:
+        """The verdict: "skip" when the hypothesis gate failed, else "pass"
+        or "fail" by the tolerance rule at (atol, rtol)."""
+        if not self.hypothesis_ok:
+            return "skip"
+        return "pass" if _within(self.slack, self.rhs, atol, rtol) else "fail"
 
 
 @dataclass(frozen=True)
@@ -112,28 +125,23 @@ class LoewnerReport:
     params: dict = field(default_factory=dict)
 
 
-def _report(bid, lhs, rhs, params=None, hypothesis_ok=True, note="",
-            atol=ATOL, rtol=RTOL) -> BoundReport:
+def _within(slack, rhs, atol, rtol) -> bool:
+    """The tolerance rule: slack >= -(atol + rtol |rhs|)."""
+    return bool(slack >= -(atol + rtol * abs(rhs)))
+
+
+def _report(bid, lhs, rhs, params=None, hypothesis_ok=True, note="") -> BoundReport:
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
-    sat = bool(slack >= -(atol + rtol * abs(rhs)))
-    return BoundReport(bid, lhs, rhs, slack, sat, hypothesis_ok, note,
-                       dict(params or {}))
+    return BoundReport(bid, lhs, rhs, slack, _within(slack, rhs, ATOL, RTOL),
+                       hypothesis_ok, note, dict(params or {}))
 
 
 def _skipped(bid, params=None, note="hypothesis not met") -> BoundReport:
     nan = float("nan")
     return BoundReport(bid, nan, nan, nan, False, False, note,
                        dict(params or {}))
-
-
-def _is_pd(p) -> tuple[bool, float]:
-    w = herm_eigen(p).eigenvalues
-    if w.size == 0:
-        return False, 0.0
-    thr = PD_TOL * max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] > thr), float(w[0])
 
 
 def _sym(m):
@@ -147,6 +155,26 @@ def _need_kind(h, kind: str):
             f"this check needs a {kind} scalar function, got {f.name!r}"
         )
     return f
+
+
+def _need_power(p):
+    if not p >= 1.0:
+        raise InvalidSpecError(f"power must be >= 1, got {p}")
+
+
+def _need_weight(nu):
+    if not 0.0 < nu < 1.0:
+        raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
+
+
+def _pd_gate(p, q, what):
+    """Joint spectrum bounds of P and Q when both are positive definite,
+    else the skip note naming ``what``."""
+    ok_p, me_p = pd_test(p)
+    ok_q, me_q = pd_test(q)
+    if not (ok_p and ok_q):
+        return f"{what} not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
+    return spectrum_bounds([p, q])
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +196,7 @@ def _b02(a, w) -> BoundReport:
 
 def _b03(a, b, p, w) -> BoundReport:
     """w(B*A)^p <= ||(A*A)^p + (B*B)^p|| / 2, p >= 1."""
+    _need_power(p)
     a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
     rhs = 0.5 * op_norm(psd_pow(a.conj().T @ a, p) + psd_pow(b.conj().T @ b, p))
     return _report("B03", w ** p, rhs, {"p": p})
@@ -175,6 +204,7 @@ def _b03(a, b, p, w) -> BoundReport:
 
 def _b04(a, b, p, w) -> BoundReport:
     """w(B*A)^p <= ||(AA*)^p + (BB*)^p|| / 4 + w(AB*)^p / 2."""
+    _need_power(p)
     a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
     w_cross = numerical_radius(a @ b.conj().T).value
     rhs = 0.25 * op_norm(psd_pow(a @ a.conj().T, p) + psd_pow(b @ b.conj().T, p)) \
@@ -189,6 +219,7 @@ def _omega_ba(a, b) -> float:
 
 def _b05(a, b, x, p) -> BoundReport:
     """w(A*XB)^p <= ||(A*|X*|A)^p + (B*|X|B)^p|| / 2."""
+    _need_power(p)
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
     w = numerical_radius(a.conj().T @ x @ b).value
     left = _sym(a.conj().T @ abs_op(x.conj().T) @ a)
@@ -199,8 +230,7 @@ def _b05(a, b, x, p) -> BoundReport:
 
 def check_classics(a, b, x, p: float = 1.0):
     """Evaluate B01-B05 on a triple (A, B, X) with one power p >= 1."""
-    if not p >= 1.0:
-        raise InvalidSpecError(f"power must be >= 1, got {p}")
+    _need_power(p)
     # B01/B02 share w(A) and B03/B04 share w(B*A): one radius each
     w_a = numerical_radius(a).value
     w_ba = _omega_ba(a, b)
@@ -253,12 +283,9 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith", unit_x=None):
     hf = _need_kind(h, "decreasing")
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
-    ok_p, me_p = _is_pd(p_mat)
-    ok_q, me_q = _is_pd(q_mat)
-    if not (ok_p and ok_q):
-        note = f"P or Q not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
-        return _skipped("B06", params, note), _skipped("B06p", params, note)
-    sb = spectrum_bounds([p_mat, q_mat])
+    sb = _pd_gate(p_mat, q_mat, "P or Q")
+    if isinstance(sb, str):
+        return _skipped("B06", params, sb), _skipped("B06p", params, sb)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, p_mat), eval_fn(hf, q_mat), sigma, 0.5))
@@ -279,20 +306,14 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
     where (m, M, k) come from the powered pair.  0 < nu < 1.
     """
     hf = _need_kind(h, "decreasing")
-    if not 0.0 < nu < 1.0:
-        raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
+    _need_weight(nu)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     pw = psd_pow(p_mat, 1.0 / (1.0 - nu))
     qw = psd_pow(q_mat, 1.0 / nu)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": nu}
-    ok_p, me_p = _is_pd(pw)
-    ok_q, me_q = _is_pd(qw)
-    if not (ok_p and ok_q):
-        return _skipped(
-            "B07", params,
-            f"powered pair not positive definite (min eigs {me_p:.3e}, {me_q:.3e})",
-        )
-    sb = spectrum_bounds([pw, qw])
+    sb = _pd_gate(pw, qw, "powered pair")
+    if isinstance(sb, str):
+        return _skipped("B07", params, sb)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, pw), eval_fn(hf, qw), sigma, nu))
@@ -308,16 +329,12 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         B10:  w(A*XB)^p    <= (m k / 2M) || P^p + Q^p ||    (p >= 1)
     """
     hf = _need_kind(h, "increasing")
-    if not p >= 1.0:
-        raise InvalidSpecError(f"power must be >= 1, got {p}")
+    _need_power(p)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "p": p}
-    ok_p, me_p = _is_pd(p_mat)
-    ok_q, me_q = _is_pd(q_mat)
-    if not (ok_p and ok_q):
-        note = f"P or Q not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
-        return tuple(_skipped(bid, params, note) for bid in ("B08", "B09", "B10"))
-    sb = spectrum_bounds([p_mat, q_mat])
+    sb = _pd_gate(p_mat, q_mat, "P or Q")
+    if isinstance(sb, str):
+        return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     w = _target_omega(a, b, x, None)
@@ -343,8 +360,7 @@ def check_mox(a, b, h="pow:1", p: float = 1.0):
         B12: w(A*B)^p   <= (||A|| ||B||)^p / 2 + w(BA*)^p / 2
     """
     hf = _need_kind(h, "increasing")
-    if not p >= 1.0:
-        raise InvalidSpecError(f"power must be >= 1, got {p}")
+    _need_power(p)
     a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
     w = numerical_radius(a.conj().T @ b).value
     w_rev = numerical_radius(b @ a.conj().T).value
@@ -384,8 +400,7 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
         B15: h(w(A))  <= || h(f^2(|A|)) + h(g^2(|A|)) || / 4 + h(w(At)) / 2
     """
     hf = _need_kind(h, "increasing")
-    if not p >= 1.0:
-        raise InvalidSpecError(f"power must be >= 1, got {p}")
+    _need_power(p)
     fa, ga, at = _aluthge_parts(a, pair)
     w = numerical_radius(a).value
     wt = numerical_radius(at).value
@@ -459,8 +474,7 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
         B21: w(A*XB)^{2p} <= r^{2p} || (1-nu) T1^{p/(1-nu)} + nu |A|^{2p} ||
     """
     hf = _need_kind(h, "increasing")
-    if not 0.0 < nu < 1.0:
-        raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
+    _need_weight(nu)
     f, g = get_pair(pair)
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
     abs_as, abs_a = abs_op(a.conj().T), abs_op(a)
@@ -532,8 +546,8 @@ def _l01(a, x, y, pair="sqrt") -> BoundReport:
     return _report("L01", lhs, rhs, {"pair": str(pair)})
 
 
-def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith", nu=0.5,
-         atol=1e-8) -> LoewnerReport:
+def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
+         nu=0.5) -> LoewnerReport:
     """h(F(A)) sigma_nu h(F(B)) <= k h(F(A tau_nu B)) in Loewner order.
 
     A, B positive definite with joint bounds (m, M); k is the
@@ -544,12 +558,10 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith", nu=0.5,
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
-    ok_a, _ = _is_pd(a)
-    ok_b, _ = _is_pd(b)
-    if not (ok_a and ok_b):
+    sb = _pd_gate(a, b, "operands")
+    if isinstance(sb, str):
         return LoewnerReport("L02", float("nan"), False, False,
                              "operands must be positive definite", params)
-    sb = spectrum_bounds([a, b])
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
 
@@ -561,7 +573,7 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith", nu=0.5,
     diff = herm_eigen(_sym(rhs - lhs)).eigenvalues
     me = float(diff[0])
     scale = op_norm(rhs)
-    return LoewnerReport("L02", me, bool(me >= -atol * (1.0 + scale)),
+    return LoewnerReport("L02", me, bool(me >= -L02_ATOL * (1.0 + scale)),
                          True, "", params)
 
 
@@ -573,7 +585,7 @@ def _l03(a, h="inv") -> BoundReport:
     """
     hf = _need_kind(h, "decreasing")
     a = as_cmatrix(a, "A")
-    ok, me = _is_pd(a)
+    ok, me = pd_test(a)
     if not ok:
         return _skipped("L03", {"h": hf.name},
                         f"operand not positive definite (min eig {me:.3e})")
@@ -582,24 +594,26 @@ def _l03(a, h="inv") -> BoundReport:
     return _report("L03", lhs, rhs, {"h": hf.name})
 
 
-def _l04(a, grid: int = 6001, tol: float = 1e-5) -> BoundReport:
+def _l04(a) -> BoundReport:
     """w(A) equals sup over theta of ||A + e^{i theta} A*|| / 2.
 
-    The sup is brute-forced on a dense grid (resolution error O(1/grid^2)),
-    so agreement is asserted to ``tol`` rather than machine precision.
+    The sup is brute-forced on a grid of L04_GRID angles (resolution error
+    O(1/grid^2)), so agreement is asserted to L04_TOL rather than machine
+    precision.
     """
     a = as_cmatrix(a, "A")
     w1 = numerical_radius(a).value
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid)
+    thetas = np.linspace(0.0, 2.0 * np.pi, L04_GRID)
     best = 0.0
-    for chunk in np.array_split(thetas, max(1, grid // 512)):
+    for chunk in np.array_split(thetas, max(1, L04_GRID // 512)):
         stack = a[None, :, :] + np.exp(1j * chunk)[:, None, None] * a.conj().T[None, :, :]
         s = np.linalg.svd(stack, compute_uv=False)
         best = max(best, 0.5 * float(s[:, 0].max()))
-    return _report("L04", abs(w1 - best), tol, {"grid": grid, "sup_form": best})
+    return _report("L04", abs(w1 - best), L04_TOL,
+                   {"grid": L04_GRID, "sup_form": best})
 
 
-def _l05(a, b, tol: float = 1e-8) -> BoundReport:
+def _l05(a, b) -> BoundReport:
     """w(diag(A, B)) = max(w(A), w(B))."""
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
@@ -610,7 +624,7 @@ def _l05(a, b, tol: float = 1e-8) -> BoundReport:
         ])
     ).value
     byparts = omega_blockdiag([a, b])
-    return _report("L05", abs(direct - byparts), tol, {"block": direct})
+    return _report("L05", abs(direct - byparts), L05_TOL, {"block": direct})
 
 
 def _l06(a1, b1, a2, b2) -> BoundReport:

@@ -192,7 +192,7 @@ def cmd_check(args) -> int:
         )
 
     if isinstance(rep, BoundReport) and args.tol is not None:
-        sat = rep.slack >= -(args.tol + args.tol * abs(rep.rhs))
+        sat = rep.status(args.tol, args.tol) == "pass"
     elif isinstance(rep, LoewnerReport) and args.tol is not None:
         sat = rep.min_eig_of_difference >= -args.tol
     else:

@@ -24,6 +24,7 @@ import numpy as np
 from .catalog import (  # the grids are re-exported for callers of this module
     ALIASES,
     ALL_BOUND_IDS,
+    ATOL,
     FAMILIES,
     H_ALPHA_GRID,
     H_DEC_GRID,
@@ -31,6 +32,7 @@ from .catalog import (  # the grids are re-exported for callers of this module
     NU_GRID,
     P_GRID,
     PAIR_GRID,
+    RTOL,
     SIGMA_GRID,
     check_block,
     compatible_signatures,
@@ -186,21 +188,23 @@ def matrix_to_doc(m) -> dict:
 
 
 def doc_to_matrix(doc: dict) -> np.ndarray:
-    """Parse the document format produced by `matrix_to_doc`."""
+    """Parse the document format produced by `matrix_to_doc`.
+
+    ``data`` holds ``rows`` lists of ``cols`` [re, im] pairs; an empty
+    matrix has no pairs to hold, so ``data`` is then [] (no rows) or
+    ``rows`` empty lists.  Anything else raises ValueError.
+    """
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
+        rows, cols = int(doc["rows"]), int(doc["cols"])
+        data = np.array(doc["data"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if data.shape != (rows, cols, 2) and not (
+            data.size == 0 and data.shape == (rows, cols)[:data.ndim]):
         raise ValueError("matrix document dimensions do not match data")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        for j, pair in enumerate(row):
-            re, im = float(pair[0]), float(pair[1])
-            out[i, j] = complex(re, im)
-    if out.size and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(data)):
         raise ValueError("matrix document contains non-finite entries")
-    return out
+    return data.reshape(rows, cols, 2).view(np.complex128).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +237,8 @@ class CampaignConfig:
     dims: tuple = (2, 3, 4, 5)
     seed: int = 42
     params: dict = field(default_factory=dict)
-    atol: float = 1e-9
-    rtol: float = 1e-9
+    atol: float = ATOL
+    rtol: float = RTOL
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", _expand_bounds(self.bounds))
@@ -268,28 +272,34 @@ def _fam_param(cfg: CampaignConfig, family, key, t):
     return float(v) if key in ("p", "nu") else v
 
 
-def _trial(family, cfg, t, dim, seed, commuting):
-    """Draw trial t's inputs for ``family`` and evaluate the family once.
+def _trials(cfg, family, salt: str, commuting: bool):
+    """Draw each trial's inputs for ``family`` and evaluate the family once.
 
-    One Ginibre matrix per operand, in a, b, x order.  With ``commuting``,
-    X is instead a polynomial in |A*|, rescaled on odd trials to a
-    spectral radius from U_GRID so the r(X) <= 1 branches get exercised.
-    Returns (reports in ``family.ids`` order, operand name -> matrix).
+    Trial t runs at dims[t % len(dims)] from seed mix_seed(cfg.seed,
+    crc32(salt), t).  One Ginibre matrix per operand, in a, b, x order.
+    With ``commuting``, X is instead a polynomial in |A*|, rescaled on odd
+    trials to a spectral radius from U_GRID so the r(X) <= 1 branches get
+    exercised.  Yields (t, dim, seed, reports in ``family.ids`` order,
+    operand name -> matrix).
     """
-    rng = _rng(seed)
-    mats = {}
-    for name in family.operands:
-        if name == "x" and commuting:
-            x = _commuting(rng, mats["a"])
-            if t % 2 == 1:
-                r = spectral_radius(x)
-                if r > 0:
-                    x = x * (U_GRID[(t // 2) % len(U_GRID)] / r)
-            mats["x"] = x
-        else:
-            mats[name] = _ginibre(rng, dim)
-    params = {key: _fam_param(cfg, family, key, t) for key in family.grids}
-    return evaluate_family(family, mats, **params), mats
+    salt_int = zlib.crc32(salt.encode())
+    for t in range(cfg.trials):
+        dim = cfg.dims[t % len(cfg.dims)]
+        seed = mix_seed(cfg.seed, salt_int, t)
+        rng = _rng(seed)
+        mats = {}
+        for name in family.operands:
+            if name == "x" and commuting:
+                x = _commuting(rng, mats["a"])
+                if t % 2 == 1:
+                    r = spectral_radius(x)
+                    if r > 0:
+                        x = x * (U_GRID[(t // 2) % len(U_GRID)] / r)
+                mats["x"] = x
+            else:
+                mats[name] = _ginibre(rng, dim)
+        params = {key: _fam_param(cfg, family, key, t) for key in family.grids}
+        yield t, dim, seed, evaluate_family(family, mats, **params), mats
 
 
 # params worth persisting in a failure record: exactly the kwargs
@@ -353,9 +363,28 @@ def _row(bid, t, dim, seed, rep, status) -> dict:
             "slack": float(rep.slack), "status": status}
 
 
-def _stats_blank():
-    return {"trials": 0, "passed": 0, "failed": 0, "skipped": 0,
-            "min_slack": None, "mean_slack": None}
+_COUNTED_AS = {"pass": "passed", "fail": "failed", "skip": "skipped"}
+
+
+def _tally(rows) -> dict:
+    """Per-bound verdict counts and slack statistics of verdict rows, keyed
+    in first-appearance order.  The slack statistics cover the pass and
+    fail rows; a bound with skips only has None for both."""
+    stats, slacks = {}, {}
+    for r in rows:
+        bid = r["bound_id"]
+        if bid not in stats:
+            stats[bid] = {"trials": 0, "passed": 0, "failed": 0, "skipped": 0}
+            slacks[bid] = []
+        stats[bid]["trials"] += 1
+        stats[bid][_COUNTED_AS[r["status"]]] += 1
+        if r["status"] != "skip":
+            slacks[bid].append(r["slack"])
+    for bid, s in stats.items():
+        got = slacks[bid]
+        s["min_slack"] = min(got) if got else None
+        s["mean_slack"] = sum(got) / len(got) if got else None
+    return stats
 
 
 def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport:
@@ -380,80 +409,43 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
         "atol": cfg.atol,
         "rtol": cfg.rtol,
     })
-    slack_accum: dict = {}
     for family in FAMILIES:
         wanted = [i for i in family.ids if i in cfg.bounds]
         if not wanted:
             continue
-        for bid in wanted:
-            report.per_bound[bid] = _stats_blank()
-            slack_accum[bid] = []
-        salt = zlib.crc32(family.name.encode())
-        for t in range(cfg.trials):
-            dim = cfg.dims[t % len(cfg.dims)]
-            seed = mix_seed(cfg.seed, salt, t)
-            reports, inputs = _trial(family, cfg, t, dim, seed,
-                                     family.commuting_x)
+        for t, dim, seed, reports, inputs in _trials(
+                cfg, family, family.name, family.commuting_x):
             for bid, rep in zip(family.ids, reports):
                 if bid not in wanted:
                     continue
-                stats = report.per_bound[bid]
-                stats["trials"] += 1
-                if not rep.hypothesis_ok:
-                    stats["skipped"] += 1
-                    status = "skip"
-                else:
-                    ok = rep.slack >= -(cfg.atol + cfg.rtol * abs(rep.rhs))
-                    status = "pass" if ok else "fail"
-                    stats["passed" if ok else "failed"] += 1
-                    slack_accum[bid].append(rep.slack)
-                    if not ok:
-                        report.failures.append({
-                            "bound_id": bid,
-                            "trial": t,
-                            "dim": dim,
-                            "seed": seed,
-                            "lhs": rep.lhs,
-                            "rhs": rep.rhs,
-                            "slack": rep.slack,
-                            "params": {k: rep.params[k] for k in _REPLAY_KEYS
-                                       if k in rep.params},
-                            "inputs": {
-                                name.upper(): matrix_to_doc(inputs[name])
-                                for name in required_operands(bid)
-                            },
-                        })
+                status = rep.status(cfg.atol, cfg.rtol)
+                if status == "fail":
+                    report.failures.append({
+                        "bound_id": bid,
+                        "trial": t,
+                        "dim": dim,
+                        "seed": seed,
+                        "lhs": rep.lhs,
+                        "rhs": rep.rhs,
+                        "slack": rep.slack,
+                        "params": {k: rep.params[k] for k in _REPLAY_KEYS
+                                   if k in rep.params},
+                        "inputs": {
+                            name.upper(): matrix_to_doc(inputs[name])
+                            for name in required_operands(bid)
+                        },
+                    })
                 report.rows.append(_row(bid, t, dim, seed, rep, status))
-    for bid, slacks in slack_accum.items():
-        if slacks:
-            report.per_bound[bid]["min_slack"] = float(min(slacks))
-            report.per_bound[bid]["mean_slack"] = float(sum(slacks) / len(slacks))
-    if with_info:
-        report.info_rows.extend(_unconstrained_alpha_rows(cfg))
+        if with_info and family.commuting_x:
+            # the claims are stated only under the commutation hypothesis,
+            # so plain Ginibre X gets rows without a verdict
+            for t, dim, seed, reports, _ in _trials(
+                    cfg, family, f"{family.name}-unconstrained", False):
+                report.info_rows.extend(
+                    _row(bid, t, dim, seed, rep, "info")
+                    for bid, rep in zip(family.ids, reports) if bid in wanted)
+    report.per_bound = _tally(report.rows)
     return report
-
-
-def _unconstrained_alpha_rows(cfg: CampaignConfig) -> list:
-    """Probe commuting-X families (B18-B21) with plain Ginibre X.
-
-    These claims are only stated under the commutation hypothesis, so
-    the rows carry status "info" and no verdict; they exist to document
-    behavior outside the hypothesis.
-    """
-    rows = []
-    for family in FAMILIES:
-        wanted = [i for i in family.ids if i in cfg.bounds]
-        if not (family.commuting_x and wanted):
-            continue
-        salt = zlib.crc32(f"{family.name}-unconstrained".encode())
-        for t in range(cfg.trials):
-            dim = cfg.dims[t % len(cfg.dims)]
-            seed = mix_seed(cfg.seed, salt, t)
-            reports, _ = _trial(family, cfg, t, dim, seed, False)
-            rows.extend(_row(bid, t, dim, seed, rep, "info")
-                        for bid, rep in zip(family.ids, reports)
-                        if bid in wanted)
-    return rows
 
 
 def replay_failure(record: dict):

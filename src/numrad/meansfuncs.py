@@ -44,6 +44,7 @@ __all__ = [
     "SpectrumBounds",
     "spectrum_bounds",
     "compress",
+    "pd_test",
     "require_pd",
 ]
 
@@ -195,34 +196,46 @@ def eval_fn(spec, h) -> np.ndarray:
     return apply_fn(h, f.fn, domain=f.domain, name=f.name)
 
 
+def _pd_ok(w) -> bool:
+    """The positive-definiteness rule on nonempty ascending eigenvalues:
+    min eig > 1e-10 * max(1, max |eig|)."""
+    return bool(w[0] > PD_TOL * max(1.0, float(np.max(np.abs(w)))))
+
+
+def pd_test(p) -> tuple[bool, float]:
+    """(whether P is positive definite, its smallest eigenvalue).
+
+    An empty matrix is not positive definite here; its smallest
+    eigenvalue reads 0.
+    """
+    w = herm_eigen(p).eigenvalues
+    if w.size == 0:
+        return False, 0.0
+    return _pd_ok(w), float(w[0])
+
+
 def psd_pow(p, s: float) -> np.ndarray:
     """Power P^s of a positive-semidefinite matrix.
 
     Negative round-off eigenvalues are clipped to zero first.  Negative
-    exponents additionally require positive definiteness.
+    exponents additionally require the clipped spectrum to be positive
+    definite.
     """
     p = as_cmatrix(p, "P")
     e = herm_eigen(p, tol=1e-8)
     w = np.clip(e.eigenvalues, 0.0, None)
-    if s < 0:
-        if w.size and w[0] <= PD_TOL * max(1.0, float(w[-1])):
-            raise NotPositiveDefiniteError(
-                "negative power of a singular PSD matrix"
-            )
+    if s < 0 and w.size and not _pd_ok(w):
+        raise NotPositiveDefiniteError("negative power of a singular PSD matrix")
     return e.compose(w ** s)
 
 
 def require_pd(p, name: str = "P") -> np.ndarray:
     """Validate positive definiteness: min eig > 1e-10 * max(1, ||P||)."""
     p = as_cmatrix(p, name)
-    e = herm_eigen(p)
-    if e.eigenvalues.size == 0:
-        return p
-    thr = PD_TOL * max(1.0, float(np.max(np.abs(e.eigenvalues))))
-    if e.eigenvalues[0] <= thr:
+    w = herm_eigen(p).eigenvalues
+    if w.size and not _pd_ok(w):
         raise NotPositiveDefiniteError(
-            f"{name} is not positive definite "
-            f"(min eigenvalue {e.eigenvalues[0]:.6g})"
+            f"{name} is not positive definite (min eigenvalue {w[0]:.6g})"
         )
     return p
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+_GRID = 720   # equispaced sweep angles on [0, pi)
+_TOL = 1e-9   # golden-section bracket length at which polishing stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +104,13 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def numerical_radius(a, grid: int = 720, tol: float = 1e-9) -> RadiusResult:
+def numerical_radius(a) -> RadiusResult:
     """Numerical radius via a [0, pi) sweep with local refinement.
 
-    The ``grid`` equispaced angles are scored in one batched Hermitian
-    eigenvalue call; the best three grid cells are each polished by
-    golden-section search (bracket = one grid step to either side) until
-    the bracket is shorter than ``tol``.  The winner among all grid and
+    720 equispaced angles are scored in one batched Hermitian eigenvalue
+    call; the best three grid cells are each polished by golden-section
+    search (bracket = one grid step to either side) until the bracket is
+    shorter than 1e-9.  The winner among all grid and
     refined candidates is returned, ties broken toward smaller theta,
     and theta reduced mod pi.
 
@@ -121,20 +123,18 @@ def numerical_radius(a, grid: int = 720, tol: float = 1e-9) -> RadiusResult:
     n = a.shape[0]
     if n == 0:
         return RadiusResult(0.0, 0.0, np.zeros(0, dtype=np.complex128))
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
 
     h, g = _herm_parts(a)
-    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _GRID, endpoint=False)
     mu = _mu_grid(h, g, thetas)
 
-    step = np.pi / grid
-    candidates = [(float(mu[i]), float(thetas[i])) for i in range(grid)]
+    step = np.pi / _GRID
+    candidates = [(float(mu[i]), float(thetas[i])) for i in range(_GRID)]
     top = np.argsort(-mu, kind="stable")[:3]
     for i in top:
         th0 = float(thetas[i])
         th, val = _golden_max(
-            lambda t: _mu_at(h, g, t), th0 - step, th0 + step, tol
+            lambda t: _mu_at(h, g, t), th0 - step, th0 + step, _TOL
         )
         candidates.append((float(val), float(th % np.pi)))
 

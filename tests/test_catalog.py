@@ -5,6 +5,7 @@ import pytest
 
 from numrad.catalog import (
     ALL_BOUND_IDS,
+    ATOL,
     FAMILIES,
     H_ALPHA_GRID,
     H_DEC_GRID,
@@ -13,7 +14,9 @@ from numrad.catalog import (
     NU_GRID,
     P_GRID,
     PAIR_GRID,
+    RTOL,
     SIGMA_GRID,
+    BoundReport,
     aluthge_transform,
     check_alpha,
     check_aluthge,
@@ -72,6 +75,27 @@ def test_tolerance_rule():
     assert r.hypothesis_ok
 
 
+def test_bound_report_status():
+    rhs = 3.0
+    edge = -(ATOL + RTOL * rhs)
+
+    def rep(slack, hypothesis_ok=True):
+        return BoundReport("T", rhs - slack, rhs, slack, True, hypothesis_ok)
+
+    assert rep(edge).status() == "pass"
+    assert rep(np.nextafter(edge, -np.inf)).status() == "fail"
+    assert rep(0.5).status() == "pass"
+    assert rep(0.5, hypothesis_ok=False).status() == "skip"
+    # custom tolerances replace both defaults
+    assert rep(-0.5).status(atol=0.2, rtol=0.1) == "pass"
+    assert rep(-0.5).status(atol=0.1, rtol=0.1) == "fail"
+    assert rep(-0.5).status(atol=0.2, rtol=0.0) == "fail"
+    # the rule matches the satisfied flag the evaluators set
+    for slack in (edge, np.nextafter(edge, -np.inf)):
+        r = _report("T", rhs - slack, rhs)
+        assert r.status() == ("pass" if r.satisfied else "fail")
+
+
 # ------------------------------------------------------- identity equalities
 
 def test_classics_identity_is_tight():
@@ -90,6 +114,10 @@ def test_classics_jordan_values():
 def test_classics_rejects_bad_power():
     with pytest.raises(InvalidSpecError):
         check_classics(I2, I2, I2, p=0.5)
+    # the one-bound paths state the same hypothesis
+    for bid in ("B03", "B04", "B05"):
+        with pytest.raises(InvalidSpecError, match="power must be >= 1"):
+            evaluate_bound(bid, a=EX_A, b=EX_B, x=EX_X, p=0.5)
 
 
 def test_classics_satisfied_on_randoms():

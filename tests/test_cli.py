@@ -100,6 +100,13 @@ def test_eval_parse_failures(tmp_path, ident):
     assert main(["eval", "--q", "omega", "--in", str(halfdoc)]) == 2
 
 
+def test_short_matrix_entry_is_a_parse_error(tmp_path, ident):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[[1.0]]]}))
+    assert main(["eval", "--q", "omega", "--in", str(short)]) == 2
+    assert main(["check", "--bound", "B01", "--A", str(short)]) == 2
+
+
 # -------------------------------------------------------------------- check
 
 def test_check_bound_satisfied(capsys, jordan):

@@ -109,6 +109,17 @@ def test_matrix_doc_roundtrip():
     # survives JSON text round-trip exactly (repr-level floats)
     again = doc_to_matrix(json.loads(json.dumps(doc)))
     assert np.array_equal(again, m)
+    # bit for bit the entrywise complex(re, im), signed zeros included
+    data = [[[1, -0.0], [0.1, 2 ** 60]], [[-3, 5e-324], [-0.0, 0]]]
+    ref = np.array([[complex(float(re), float(im)) for re, im in row]
+                    for row in data])
+    got = doc_to_matrix({"rows": 2, "cols": 2, "data": data})
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    # empty matrices: 0x0 and 0xn store "data": [], nx0 stores n empty rows
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        doc = json.loads(json.dumps(matrix_to_doc(np.zeros(shape))))
+        back = doc_to_matrix(doc)
+        assert back.shape == shape and back.dtype == np.complex128
 
 
 def test_doc_to_matrix_rejects_malformed():
@@ -118,6 +129,16 @@ def test_doc_to_matrix_rejects_malformed():
         doc_to_matrix({"rows": 2, "cols": 2, "data": [[[1, 0]]]})
     with pytest.raises(ValueError):
         doc_to_matrix({"rows": 1, "cols": 1, "data": [[[math.nan, 0]]]})
+    # every entry must be exactly one [re, im] pair
+    for entry in ([1.0], [1, 2, 3], []):
+        with pytest.raises(ValueError):
+            doc_to_matrix({"rows": 1, "cols": 1, "data": [[entry]]})
+    with pytest.raises(ValueError):
+        doc_to_matrix({"rows": 1, "cols": 2, "data": [[[1, 0], [1]]]})
+    # an empty document describes a 0x0 matrix only
+    for rows, cols, data in ((1, 1, []), (2, 0, []), (0, 0, [[]])):
+        with pytest.raises(ValueError):
+            doc_to_matrix({"rows": rows, "cols": cols, "data": data})
 
 
 # -------------------------------------------------------------- campaigns
@@ -168,6 +189,20 @@ def test_campaign_counts_add_up():
     assert rep.total_failed == 0
     dims = {r["dim"] for r in rep.rows}
     assert dims == {2, 3}
+
+
+def test_campaign_verdict_counts_pinned():
+    # the closest verdict of this run sits a full tolerance unit from
+    # flipping, so any change to these counts is a change of verdict
+    rep = run_campaign(CampaignConfig(trials=30, dims=(1, 2, 6), seed=7))
+    expected = {bid: (30, 0, 0) for bid in rep.per_bound}
+    expected.update({bid: (0, 30, 0) for bid in ("B06", "B06p", "B08")})
+    expected.update({"B07": (0, 24, 6), "B09": (15, 15, 0),
+                     "B10": (15, 15, 0)})
+    got = {bid: (s["passed"], s["failed"], s["skipped"])
+           for bid, s in rep.per_bound.items()}
+    assert len(got) == 23
+    assert got == expected
 
 
 def test_campaign_is_byte_identical_across_runs():

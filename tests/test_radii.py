@@ -138,8 +138,6 @@ def test_rejects_nonsquare_and_tiny_grid():
         numerical_radius(np.zeros((2, 3)))
     with pytest.raises(NotSquareError):
         numerical_radius_oracle(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        numerical_radius(np.eye(2), grid=3)
 
 
 def test_empty_matrix():
