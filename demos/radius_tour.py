@@ -2,7 +2,7 @@
 
 Walks through a small gallery of matrices where w(A) is known in closed
 form, shows the witness vectors attaining it, and cross-checks the
-rotation sweep against the independent alternating-ascent oracle.
+certified radius against the independent alternating-ascent oracle.
 
 Run:  python3 demos/radius_tour.py
 """
@@ -52,11 +52,13 @@ def main():
     print(f"  w     = {numerical_radius(h).value:.12f}")
     print(f"  norm  = {op_norm(h):.12f}")
 
-    section("Why the sweep must track max(lmax, -lmin)")
+    section("Why a half turn of lambda_max is not enough")
     # For A = -i diag(-2, 1) the rotated Hermitian part has its extreme
-    # eigenvalue on the *bottom* of the spectrum for every angle where
-    # the top is small.  Tracking lambda_max alone tops out at 1; the
-    # radius is 2.
+    # eigenvalue on the *bottom* of the spectrum for every angle in
+    # [0, pi) where the top is small.  Tracking lambda_max alone over
+    # that half turn tops out at 1; the radius is 2.  numerical_radius
+    # maximizes lambda_max over the full turn [0, 2 pi), which covers
+    # the bottom of the spectrum as lambda_max at theta + pi.
     a = -1j * np.diag([-2.0, 1.0])
     thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
     hpart = 0.5 * (a + a.conj().T)
@@ -79,7 +81,7 @@ def main():
     print(f"  |<Ax, x>|   = {rayleigh:.12f}  for the returned unit x")
 
     section("Two algorithms, one answer")
-    # the ascent oracle shares no code with the sweep; agreement to
+    # the ascent oracle shares no code with numerical_radius; agreement to
     # ~1e-13 relative is the everyday outcome
     worst = 0.0
     for k in range(20):

@@ -3,8 +3,8 @@
 The package has three layers:
 
 * `matrixcore` / `radii` / `meansfuncs` — dense complex matrix
-  primitives, the numerical radius (sweep + independent oracle), and
-  operator means with a closed scalar-function registry;
+  primitives, the certified numerical radius (plus an independent
+  oracle), and operator means with a closed scalar-function registry;
 * `catalog` — evaluators for a fixed vocabulary of inequality claims
   (B01-B21) and auxiliary lemmas (L01-L09), each returning a report
   with both sides, slack, and hypothesis diagnostics;

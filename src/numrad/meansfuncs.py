@@ -197,21 +197,19 @@ def eval_fn(spec, h) -> np.ndarray:
 
 
 def _pd_ok(w) -> bool:
-    """The positive-definiteness rule on nonempty ascending eigenvalues:
-    min eig > 1e-10 * max(1, max |eig|)."""
-    return bool(w[0] > PD_TOL * max(1.0, float(np.max(np.abs(w)))))
+    """The positive-definiteness rule on ascending eigenvalues:
+    min eig > 1e-10 * max(1, max |eig|).  An empty spectrum fails it."""
+    return bool(w.size and w[0] > PD_TOL * max(1.0, float(np.max(np.abs(w)))))
 
 
 def pd_test(p) -> tuple[bool, float]:
     """(whether P is positive definite, its smallest eigenvalue).
 
-    An empty matrix is not positive definite here; its smallest
-    eigenvalue reads 0.
+    An empty matrix is not positive definite; its smallest eigenvalue
+    reads 0.
     """
     w = herm_eigen(p).eigenvalues
-    if w.size == 0:
-        return False, 0.0
-    return _pd_ok(w), float(w[0])
+    return _pd_ok(w), float(w[0]) if w.size else 0.0
 
 
 def psd_pow(p, s: float) -> np.ndarray:
@@ -224,7 +222,7 @@ def psd_pow(p, s: float) -> np.ndarray:
     p = as_cmatrix(p, "P")
     e = herm_eigen(p, tol=1e-8)
     w = np.clip(e.eigenvalues, 0.0, None)
-    if s < 0 and w.size and not _pd_ok(w):
+    if s < 0 and not _pd_ok(w):
         raise NotPositiveDefiniteError("negative power of a singular PSD matrix")
     return e.compose(w ** s)
 
@@ -232,10 +230,10 @@ def psd_pow(p, s: float) -> np.ndarray:
 def require_pd(p, name: str = "P") -> np.ndarray:
     """Validate positive definiteness: min eig > 1e-10 * max(1, ||P||)."""
     p = as_cmatrix(p, name)
-    w = herm_eigen(p).eigenvalues
-    if w.size and not _pd_ok(w):
+    ok, min_eig = pd_test(p)
+    if not ok:
         raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (min eigenvalue {w[0]:.6g})"
+            f"{name} is not positive definite (min eigenvalue {min_eig:.6g})"
         )
     return p
 

@@ -18,6 +18,7 @@ from numrad.meansfuncs import (
     kantorovich,
     list_fns,
     mean,
+    pd_test,
     psd_pow,
     require_pd,
     spectrum_bounds,
@@ -106,6 +107,19 @@ def test_require_pd():
         require_pd(np.diag([1.0, -0.1]))
     with pytest.raises(NotPositiveDefiniteError):
         require_pd(np.diag([1.0, 0.0]))
+
+
+def test_empty_matrix_is_not_pd():
+    # one rule for 0x0: pd_test reports it not PD, so every gate rejects it
+    e = np.zeros((0, 0))
+    assert pd_test(e) == (False, 0.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        require_pd(e)
+    with pytest.raises(NotPositiveDefiniteError):
+        psd_pow(e, -1.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        mean(e, e, "harm")
+    assert mean(e, e, "arith").shape == (0, 0)
 
 
 # ------------------------------------------------------------------- means

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,8 @@ def test_jordan_block_is_one_half():
 
 
 def test_norm_not_lambda_max():
-    # mu(theta) must use max(lmax, -lmin): for A = -i*diag(-2, 1) the
-    # lambda_max branch alone tops out at 1, but w(A) = 2.
+    # for A = -i*diag(-2, 1), lambda_max alone over a half turn tops out
+    # at 1, but w(A) = 2: the bottom of the spectrum must be covered too.
     a = -1j * np.diag([-2.0, 1.0])
     assert numerical_radius(a).value == pytest.approx(2.0, abs=1e-9)
     assert numerical_radius_oracle(a) == pytest.approx(2.0, abs=1e-9)
@@ -92,10 +94,48 @@ def test_adjoint_and_conjugation_invariance():
     for _ in range(10):
         a = _random_matrix(rng, int(rng.integers(2, 5)))
         w = numerical_radius(a).value
-        assert numerical_radius(a.conj().T).value == pytest.approx(w, rel=1e-9)
         q, _ = np.linalg.qr(_random_matrix(rng, a.shape[0]))
-        assert numerical_radius(q @ a @ q.conj().T).value == pytest.approx(
-            w, rel=1e-8)
+        for b in (a.conj().T, a.T, q @ a @ q.conj().T):
+            assert numerical_radius(b).value == pytest.approx(w, rel=1e-12)
+
+
+def _missed_peak(eps, offsets=(100.0, 300.0, 500.5)):
+    # w = 1 + eps; with the default offsets (in units of pi/720) the last
+    # entry's peak lies between the angles of a 720-point sweep, behind
+    # three on-grid peaks of height 1
+    s = math.pi / 720.0
+    return np.diag([1.0, *np.exp(-1j * s * np.asarray(offsets[:2])),
+                    (1.0 + eps) * np.exp(-1j * s * offsets[2])])
+
+
+def test_missed_peak_is_found():
+    r = numerical_radius(_missed_peak(2e-6))
+    assert r.value == pytest.approx(1.0 + 2e-6, rel=1e-12)
+
+
+def test_missed_peak_family_is_found():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        eps = 10.0 ** rng.uniform(-9.0, -5.0)
+        offsets = rng.uniform(0.0, 1440.0, 3)
+        r = numerical_radius(_missed_peak(eps, offsets))
+        assert r.value == pytest.approx(1.0 + eps, rel=1e-12)
+
+
+def test_nilpotent_jordan_blocks():
+    # the numerical range of the n x n shift is the disk of radius cos(pi/(n+1))
+    for n in range(2, 9):
+        r = numerical_radius(np.eye(n, k=1))
+        assert r.value == pytest.approx(math.cos(math.pi / (n + 1)), abs=1e-14)
+
+
+def test_certificate_brackets_the_value():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        a = _random_matrix(rng, int(rng.integers(1, 9)))
+        r = numerical_radius(a)
+        assert r.value <= r.upper <= r.value * (1.0 + 1e-11)
+        assert r.evaluations > 0
 
 
 def test_sweep_agrees_with_ascent_oracle():
@@ -131,6 +171,18 @@ def test_scale_covariance(re, im, seed):
     w = numerical_radius(a).value
     assert numerical_radius(c * a).value == pytest.approx(
         abs(c) * w, rel=1e-8, abs=1e-9)
+
+
+def test_power_of_two_scaling_is_exact():
+    # w(2^k A) = 2^k w(A) to the bit, far outside the unit scale too
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        a = _random_matrix(rng, int(rng.integers(2, 7)))
+        w = numerical_radius(a).value
+        for k in (-600, 600):
+            r = numerical_radius(np.ldexp(1.0, k) * a)
+            assert r.value == np.ldexp(w, k)
+            assert r.value <= r.upper <= r.value * (1.0 + 1e-11)
 
 
 def test_rejects_nonsquare_and_tiny_grid():
