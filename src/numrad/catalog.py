@@ -7,6 +7,10 @@ flag under the uniform tolerance rule
 
     satisfied  <=>  slack >= -(atol + rtol * |rhs|),  atol = rtol = 1e-9.
 
+The operator-order lemma L02 returns a LoewnerReport, judged by the same
+rule with its own tolerance.  FAMILIES describes each bound family and
+LEMMAS each lemma, once, for every caller.
+
 Evaluators never decide truth - they compute both sides of the claim
 exactly as catalogued and report.  Hypothesis failures (losing positive
 definiteness, spectral radius out of range, broken commutation) are
@@ -23,6 +27,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -50,8 +55,10 @@ __all__ = [
     "ALL_BOUND_IDS",
     "ALIASES",
     "FAMILIES",
+    "LEMMAS",
     "LEMMA_IDS",
     "Family",
+    "Lemma",
     "BoundReport",
     "LoewnerReport",
     "check_classics",
@@ -74,8 +81,6 @@ __all__ = [
 
 ATOL = 1e-9
 RTOL = 1e-9
-
-LEMMA_IDS = ("L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09")
 
 # commutation gate for the B18-B21 family
 ALPHA_COMM_TOL = 1e-8
@@ -111,10 +116,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class LoewnerReport:
-    """Outcome of an operator-order (Loewner) conclusion.
+    """Outcome of an operator-order (Loewner) conclusion lhs <= rhs.
 
-    ``satisfied`` holds when the smallest eigenvalue of (rhs - lhs)
-    stays above -atol * (1 + scale), scale being the norm of the rhs.
+    The tolerance rule takes the smallest eigenvalue of (rhs - lhs) as
+    the slack and ``scale``, the norm of the rhs, as |rhs|; ``satisfied``
+    is its verdict at atol = rtol = L02_ATOL.
     """
 
     bound_id: str
@@ -123,6 +129,15 @@ class LoewnerReport:
     hypothesis_ok: bool = True
     note: str = ""
     params: dict = field(default_factory=dict)
+    scale: float = float("nan")
+
+    def status(self, atol: float = L02_ATOL, rtol: float = L02_ATOL) -> str:
+        """The verdict: "skip" when the hypothesis gate failed, else "pass"
+        or "fail" by the tolerance rule at (atol, rtol)."""
+        if not self.hypothesis_ok:
+            return "skip"
+        return "pass" if _within(self.min_eig_of_difference, self.scale,
+                                 atol, rtol) else "fail"
 
 
 def _within(slack, rhs, atol, rtol) -> bool:
@@ -258,11 +273,7 @@ def _target_omega(a, b, x, unit_x):
     prod = adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")
     if unit_x is None:
         return numerical_radius(prod).value
-    v = np.asarray(unit_x, dtype=np.complex128).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise InvalidSpecError("unit_x must be a unit vector")
-    if v.shape[0] != prod.shape[0]:
-        raise InvalidSpecError("unit_x length does not match the product")
+    v = _unit_vec(unit_x, prod.shape[0], "unit_x")
     return abs(complex(v.conj() @ (prod @ v)))
 
 
@@ -523,9 +534,12 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
 
 
 def _unit_vec(v, n, name):
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != n:
-        raise InvalidSpecError(f"{name} must have length {n}")
+    """``v`` as a flat unit vector of length n; an n x 1 or 1 x n matrix
+    is accepted, any other shape raises InvalidSpecError."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape not in ((n,), (n, 1), (1, n)):
+        raise InvalidSpecError(f"{name} must be a vector of length {n}")
+    v = v.reshape(-1)
     nv = np.linalg.norm(v)
     if abs(nv - 1.0) > 1e-8:
         raise InvalidSpecError(f"{name} must be a unit vector (norm {nv:.6g})")
@@ -573,8 +587,8 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     diff = herm_eigen(_sym(rhs - lhs)).eigenvalues
     me = float(diff[0])
     scale = op_norm(rhs)
-    return LoewnerReport("L02", me, bool(me >= -L02_ATOL * (1.0 + scale)),
-                         True, "", params)
+    return LoewnerReport("L02", me, _within(me, scale, L02_ATOL, L02_ATOL),
+                         True, "", params, scale)
 
 
 def _l03(a, h="inv") -> BoundReport:
@@ -697,28 +711,59 @@ def _l09(p, q, h="pow:1", nu=0.5) -> BoundReport:
     return _report("L09", lhs, rhs, {"h": hf.name, "nu": nu})
 
 
-_LEMMAS = {
-    "L01": _l01,
-    "L02": _l02,
-    "L03": _l03,
-    "L04": _l04,
-    "L05": _l05,
-    "L06": _l06,
-    "L07": _l07,
-    "L08": _l08,
-    "L09": _l09,
-}
+@dataclass(frozen=True)
+class Lemma:
+    """One auxiliary lemma, the description that ``check_lemma`` and
+    ``numrad check`` both read.
+
+    ``flags`` maps each operand's command-line flag to the handler
+    keyword that receives it; a flag in ``optional`` may be omitted.
+    ``params`` are the handler's keyword parameters.
+    """
+
+    id: str
+    handler: Callable
+    flags: dict
+    params: tuple = ()
+    optional: tuple = ()
+
+
+LEMMAS = {lem.id: lem for lem in (
+    Lemma("L01", _l01, {"A": "a", "X": "x", "Y": "y"}, ("pair",)),
+    Lemma("L02", _l02, {"A": "a", "B": "b", "V": "v"},
+          ("h", "sigma", "tau", "nu"), optional=("V",)),
+    Lemma("L03", _l03, {"A": "a"}, ("h",)),
+    Lemma("L04", _l04, {"A": "a"}),
+    Lemma("L05", _l05, {"A": "a", "B": "b"}),
+    Lemma("L06", _l06, {"A": "a1", "B": "b1", "A2": "a2", "B2": "b2"}),
+    Lemma("L07", _l07, {"A": "a1", "B": "b1", "A2": "a2", "B2": "b2",
+                        "X": "x", "Y": "y"}),
+    Lemma("L08", _l08, {"A": "a", "B": "b", "X": "x", "Y": "y"}, ("pair",)),
+    Lemma("L09", _l09, {"A": "p", "B": "q"}, ("h", "nu")),
+)}
+
+LEMMA_IDS = tuple(LEMMAS)
 
 
 def check_lemma(lemma_id: str, **inputs):
-    """Evaluate one auxiliary lemma by ID; see each handler's docstring."""
+    """Evaluate one auxiliary lemma by ID; see each handler's docstring.
+
+    Operands and parameters go in by handler keyword; a missing operand
+    raises InvalidSpecError naming its flag.
+    """
     try:
-        handler = _LEMMAS[lemma_id]
+        lem = LEMMAS[lemma_id]
     except KeyError:
         raise UnknownBoundIdError(
             f"unknown lemma {lemma_id!r}; known: {', '.join(LEMMA_IDS)}"
         ) from None
-    return handler(**inputs)
+    missing = [flag for flag, kw in lem.flags.items()
+               if flag not in lem.optional and inputs.get(kw) is None]
+    if missing:
+        raise InvalidSpecError(
+            f"{lemma_id} requires operand(s) {', '.join(missing)}"
+        )
+    return lem.handler(**inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ import numpy as np
 
 from .catalog import (
     ALL_BOUND_IDS,
+    ATOL,
     LEMMA_IDS,
-    BoundReport,
-    LoewnerReport,
+    LEMMAS,
+    RTOL,
     aluthge_transform,
     check_lemma,
     evaluate_bound,
@@ -62,12 +63,6 @@ def load_matrix(path: str) -> np.ndarray:
         return doc_to_matrix(doc)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
-
-
-def _as_vector(m: np.ndarray, name: str) -> np.ndarray:
-    if 1 not in m.shape:
-        raise InvalidSpecError(f"{name} must be a vector (n x 1 document)")
-    return m.reshape(-1)
 
 
 def _report_doc(rep) -> dict:
@@ -134,73 +129,34 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# lemma operand tables: flag name -> handler kwarg, and whether a vector
-_LEMMA_SPEC = {
-    "L01": ([("A", "a", "mat"), ("X", "x", "vec"), ("Y", "y", "vec")],
-            ["pair"]),
-    "L02": ([("A", "a", "mat"), ("B", "b", "mat"), ("V", "v", "optmat")],
-            ["h", "sigma", "tau", "nu"]),
-    "L03": ([("A", "a", "mat")], ["h"]),
-    "L04": ([("A", "a", "mat")], []),
-    "L05": ([("A", "a", "mat"), ("B", "b", "mat")], []),
-    "L06": ([("A", "a1", "mat"), ("B", "b1", "mat"),
-             ("A2", "a2", "mat"), ("B2", "b2", "mat")], []),
-    "L07": ([("A", "a1", "mat"), ("B", "b1", "mat"),
-             ("A2", "a2", "mat"), ("B2", "b2", "mat"),
-             ("X", "x", "mat"), ("Y", "y", "mat")], []),
-    "L08": ([("A", "a", "mat"), ("B", "b", "mat"),
-             ("X", "x", "vec"), ("Y", "y", "vec")], ["pair"]),
-    "L09": ([("A", "p", "mat"), ("B", "q", "mat")], ["h", "nu"]),
-}
+def _operands(args, flags: dict) -> dict:
+    """The matrix files given for ``flags`` (flag -> keyword), loaded."""
+    return {kw: load_matrix(getattr(args, flag)) for flag, kw in flags.items()
+            if getattr(args, flag) is not None}
 
 
-def _lemma_report(args) -> object:
-    operands, param_names = _LEMMA_SPEC[args.bound]
-    kwargs = {}
-    for flag, kwarg, kind in operands:
-        path = getattr(args, flag)
-        if path is None:
-            if kind == "optmat":
-                continue
-            raise InvalidSpecError(f"{args.bound} requires --{flag}")
-        m = load_matrix(path)
-        kwargs[kwarg] = _as_vector(m, flag) if kind == "vec" else m
-    for name in param_names:
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
-    return check_lemma(args.bound, **kwargs)
+_EXIT = {"pass": EXIT_OK, "fail": EXIT_VIOLATED, "skip": EXIT_HYPOTHESIS}
 
 
 def cmd_check(args) -> int:
-    if args.bound in LEMMA_IDS:
-        rep = _lemma_report(args)
+    if args.bound in LEMMAS:
+        lem = LEMMAS[args.bound]
+        params = {name: getattr(args, name) for name in lem.params
+                  if getattr(args, name) is not None}
+        rep = check_lemma(args.bound, **_operands(args, lem.flags), **params)
     elif args.bound in ALL_BOUND_IDS:
-        kwargs = {}
-        for flag, kw in (("A", "a"), ("B", "b"), ("X", "x")):
-            path = getattr(args, flag)
-            if path is not None:
-                kwargs[kw] = load_matrix(path)
         rep = evaluate_bound(
-            args.bound, p=args.p, nu=args.nu, pair=args.pair,
-            h=args.h, sigma=args.sigma, **kwargs,
+            args.bound, p=args.p, nu=args.nu, pair=args.pair, h=args.h,
+            sigma=args.sigma, **_operands(args, {"A": "a", "B": "b", "X": "x"}),
         )
     else:
         raise InvalidSpecError(
             f"unknown identifier {args.bound!r}; "
             f"known: {', '.join(ALL_BOUND_IDS + LEMMA_IDS)}"
         )
-
-    if isinstance(rep, BoundReport) and args.tol is not None:
-        sat = rep.status(args.tol, args.tol) == "pass"
-    elif isinstance(rep, LoewnerReport) and args.tol is not None:
-        sat = rep.min_eig_of_difference >= -args.tol
-    else:
-        sat = rep.satisfied
     _print(_report_doc(rep), args.json)
-    if not rep.hypothesis_ok:
-        return EXIT_HYPOTHESIS
-    return EXIT_OK if sat else EXIT_VIOLATED
+    tol = () if args.tol is None else (args.tol, args.tol)
+    return _EXIT[rep.status(*tol)]
 
 
 def cmd_campaign(args) -> int:
@@ -278,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--seed", type=int,
                     default=int(os.environ.get("RADII_SEED", "42")))
     cp.add_argument("--out", default=None, help="prefix for .csv/.json reports")
-    cp.add_argument("--atol", type=float, default=1e-9)
-    cp.add_argument("--rtol", type=float, default=1e-9)
+    cp.add_argument("--atol", type=float, default=ATOL)
+    cp.add_argument("--rtol", type=float, default=RTOL)
     cp.add_argument("--with-info", action="store_true",
                     help="append verdict-free unconstrained-X rows for B18-B21")
     cp.set_defaults(fn=cmd_campaign)

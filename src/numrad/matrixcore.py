@@ -171,7 +171,7 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
     given, eigenvalues may stray outside it by at most
     ``1e-10 * max(1, ||H||)`` (they are clamped back to the closed
     interval before evaluation); beyond that DomainViolationError is
-    raised.
+    raised.  So is a non-finite value of ``fn``.
     """
     e = herm_eigen(h)
     w = e.eigenvalues
@@ -184,7 +184,17 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
                 f"domain [{lo:.6g}, {hi:.6g}] of {name}"
             )
         w = np.clip(w, lo, hi if np.isfinite(hi) else None)
+    return e.compose(_fn_values(fn, w, name))
+
+
+def _fn_values(fn, w: np.ndarray, name: str) -> np.ndarray:
+    """fn on the ascending eigenvalues w: elementwise (ValueError
+    otherwise) and finite (DomainViolationError otherwise)."""
     vals = np.asarray(fn(w), dtype=float)
     if vals.shape != w.shape:
         raise ValueError(f"{name} must map eigenvalues elementwise")
-    return e.compose(vals)
+    if not np.isfinite(vals).all():
+        raise DomainViolationError(
+            f"{name} is not finite on the spectrum [{w[0]:.6g}, {w[-1]:.6g}]"
+        )
+    return vals

@@ -29,7 +29,7 @@ from .errors import (
     NotIsometryError,
     NotPositiveDefiniteError,
 )
-from .matrixcore import apply_fn, as_cmatrix, herm_eigen, op_norm
+from .matrixcore import _fn_values, apply_fn, as_cmatrix, herm_eigen, op_norm
 
 __all__ = [
     "ScalarFn",
@@ -181,7 +181,8 @@ def eval_fn(spec, h) -> np.ndarray:
 
     Strict lower edges (inv-type poles) demand a strictly positive
     spectrum; NotPositiveDefiniteError is raised otherwise.  Soft edges
-    follow the clamp-within-tolerance rule of `matrixcore.apply_fn`.
+    follow the clamp-within-tolerance rule of `matrixcore.apply_fn`.  A
+    non-finite function value raises DomainViolationError.
     """
     f = get_fn(spec)
     h = as_cmatrix(h, "H")
@@ -192,7 +193,7 @@ def eval_fn(spec, h) -> np.ndarray:
                 f"{f.name} needs spectrum > {f.domain[0]:g}, "
                 f"min eigenvalue is {e.eigenvalues[0]:.6g}"
             )
-        return e.compose(np.asarray(f.fn(e.eigenvalues), dtype=float))
+        return e.compose(_fn_values(f.fn, e.eigenvalues, f.name))
     return apply_fn(h, f.fn, domain=f.domain, name=f.name)
 
 

@@ -28,7 +28,7 @@ import zlib
 
 import numpy as np
 
-from numrad.catalog import ALL_BOUND_IDS, check_lemma, evaluate_bound
+from numrad.catalog import ALL_BOUND_IDS, LEMMA_IDS, check_lemma, evaluate_bound
 from numrad.cli import main
 from numrad.harness import (
     H_DEC_GRID,
@@ -261,14 +261,13 @@ def _lemma_inputs(lid, rng, n, t):
 
 
 def test_criterion_4_lemma_suite(scoreboard):
-    lemma_ids = ("L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09")
     dims = (2, 3, 4, 5)
     trials = 500
     failures = []
     skipped = 0
     l02_min = float("inf")
     t0 = time.perf_counter()
-    for lid in lemma_ids:
+    for lid in LEMMA_IDS:
         salt = zlib.crc32(f"lemma:{lid}".encode())
         for t in range(trials):
             rng = np.random.default_rng(mix_seed(42, salt, t))
@@ -284,8 +283,9 @@ def test_criterion_4_lemma_suite(scoreboard):
     ok = not failures and l02_min >= -1e-8
     line = _verdict(
         scoreboard, 4, ok,
-        f"failures={len(failures)} over 9 lemmas x {trials} trials "
-        f"(skipped={skipped}), L02 min-eig={l02_min:.2e} (floor -1e-8), "
+        f"failures={len(failures)} over {len(LEMMA_IDS)} lemmas x {trials} "
+        f"trials (skipped={skipped}), L02 min-eig={l02_min:.2e} "
+        f"(floor -1e-8), "
         f"runtime={dt:.1f}s",
     )
     assert ok, line

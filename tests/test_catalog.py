@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,13 +11,16 @@ from numrad.catalog import (
     H_ALPHA_GRID,
     H_DEC_GRID,
     H_INC_GRID,
+    L02_ATOL,
     LEMMA_IDS,
+    LEMMAS,
     NU_GRID,
     P_GRID,
     PAIR_GRID,
     RTOL,
     SIGMA_GRID,
     BoundReport,
+    LoewnerReport,
     aluthge_transform,
     check_alpha,
     check_aluthge,
@@ -94,6 +98,31 @@ def test_bound_report_status():
     for slack in (edge, np.nextafter(edge, -np.inf)):
         r = _report("T", rhs - slack, rhs)
         assert r.status() == ("pass" if r.satisfied else "fail")
+
+
+def test_loewner_report_status():
+    scale = 3.0
+    edge = -(L02_ATOL + L02_ATOL * scale)
+
+    def rep(min_eig, hypothesis_ok=True):
+        return LoewnerReport("T", min_eig, True, hypothesis_ok, scale=scale)
+
+    assert rep(edge).status() == "pass"
+    assert rep(np.nextafter(edge, -np.inf)).status() == "fail"
+    assert rep(0.5).status() == "pass"
+    assert rep(0.5, hypothesis_ok=False).status() == "skip"
+    # custom tolerances replace both defaults; rtol scales with the norm
+    assert rep(-0.5).status(atol=0.2, rtol=0.1) == "pass"
+    assert rep(-0.5).status(atol=0.1, rtol=0.1) == "fail"
+    assert rep(-0.5).status(atol=0.2, rtol=0.0) == "fail"
+    # an explicit default tolerance gives the default verdict
+    for me in (edge, np.nextafter(edge, -np.inf)):
+        assert rep(me).status(L02_ATOL, L02_ATOL) == rep(me).status()
+    # the rule matches the satisfied flag L02 sets, and scale is ||rhs||
+    rng = np.random.default_rng(44)
+    r = check_lemma("L02", a=_rand_pd(rng, 3), b=_rand_pd(rng, 3))
+    assert r.status() == ("pass" if r.satisfied else "fail")
+    assert r.scale > 0.0
 
 
 # ------------------------------------------------------- identity equalities
@@ -483,6 +512,43 @@ def test_lemma_dispatch_validation():
         check_lemma("L99", a=I2)
     with pytest.raises(InvalidSpecError):
         check_lemma("L03", a=I2, h="pow:2")  # needs a decreasing h
+    # a missing operand is named by its flag
+    e1 = np.array([1.0, 0.0])
+    with pytest.raises(InvalidSpecError, match=r"L04 requires operand\(s\) A$"):
+        check_lemma("L04")
+    with pytest.raises(InvalidSpecError, match=r"L01 requires operand\(s\) Y$"):
+        check_lemma("L01", a=I2, x=e1)
+    with pytest.raises(InvalidSpecError, match=r"operand\(s\) B, A2, B2$"):
+        check_lemma("L06", a1=I2)
+    # a vector operand must be a vector, not a matrix of the same size
+    with pytest.raises(InvalidSpecError):
+        check_lemma("L01", a=np.eye(4), x=np.diag([1.0, 0.0]), y=np.eye(4)[0])
+    assert check_lemma("L01", a=I2, x=e1[:, None], y=e1[None, :]).satisfied
+
+
+def test_lemma_table_is_pinned():
+    # ids, command-line flag -> handler keyword maps, optional operands
+    # and keyword parameters: what check_lemma and numrad check both read
+    assert LEMMA_IDS == tuple(LEMMAS) == (
+        "L01", "L02", "L03", "L04", "L05", "L06", "L07", "L08", "L09")
+    assert {lem.id: (lem.flags, lem.optional, lem.params)
+            for lem in LEMMAS.values()} == {
+        "L01": ({"A": "a", "X": "x", "Y": "y"}, (), ("pair",)),
+        "L02": ({"A": "a", "B": "b", "V": "v"}, ("V",),
+                ("h", "sigma", "tau", "nu")),
+        "L03": ({"A": "a"}, (), ("h",)),
+        "L04": ({"A": "a"}, (), ()),
+        "L05": ({"A": "a", "B": "b"}, (), ()),
+        "L06": ({"A": "a1", "B": "b1", "A2": "a2", "B2": "b2"}, (), ()),
+        "L07": ({"A": "a1", "B": "b1", "A2": "a2", "B2": "b2",
+                 "X": "x", "Y": "y"}, (), ()),
+        "L08": ({"A": "a", "B": "b", "X": "x", "Y": "y"}, (), ("pair",)),
+        "L09": ({"A": "p", "B": "q"}, (), ("h", "nu")),
+    }
+    # every keyword the table names is one its handler takes, and back
+    for lem in LEMMAS.values():
+        taken = list(inspect.signature(lem.handler).parameters)
+        assert taken == [*lem.flags.values(), *lem.params], lem.id
 
 
 # ----------------------------------------------------------------- dispatch

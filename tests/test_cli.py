@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from numrad.cli import main
+from numrad.catalog import check_lemma
+from numrad.cli import load_matrix, main
 from numrad.harness import doc_to_matrix, matrix_to_doc
 
 JORDAN = [[0, 1], [0, 0]]
@@ -195,6 +196,67 @@ def test_check_lemma_l02_with_isometry(tmp_path):
 def test_check_lemma_l03_non_pd_exits_hypothesis(tmp_path):
     neg = _write(tmp_path, "neg.json", np.diag([1.0, -2.0]))
     assert main(["check", "--bound", "L03", "--A", neg]) == 4
+
+
+def _lemma_operands(lid):
+    """(flag, handler keyword, matrix) for each operand of a lemma."""
+    rng = np.random.default_rng(83)
+
+    def g(n=3):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def pd():
+        q, _ = np.linalg.qr(g())
+        return (q * rng.uniform(0.5, 4.0, 3)) @ q.conj().T
+
+    def unit():
+        v = g()[:, :1]
+        return v / np.linalg.norm(v)
+
+    pair = [("A", "a1", g()), ("B", "b1", g()), ("A2", "a2", g()),
+            ("B2", "b2", g())]
+    return {
+        "L01": [("A", "a", g()), ("X", "x", unit()), ("Y", "y", unit())],
+        "L02": [("A", "a", pd()), ("B", "b", pd()),
+                ("V", "v", np.linalg.qr(rng.standard_normal((3, 2)))[0])],
+        "L03": [("A", "a", pd())],
+        "L04": [("A", "a", g())],
+        "L05": [("A", "a", g()), ("B", "b", g(2))],
+        "L06": pair,
+        "L07": pair + [("X", "x", g()), ("Y", "y", g())],
+        "L08": [("A", "a", np.diag([1.0, 2.0, 3.0])),
+                ("B", "b", np.diag(rng.uniform(0.5, 2.0, 3))),
+                ("X", "x", unit()), ("Y", "y", unit())],
+        "L09": [("A", "p", pd()), ("B", "q", pd())],
+    }[lid]
+
+
+@pytest.mark.parametrize("lid", [f"L0{i}" for i in range(1, 10)])
+def test_check_every_lemma_matches_check_lemma(capsys, tmp_path, lid):
+    argv, kwargs = ["check", "--bound", lid, "--json"], {}
+    for flag, kw, mat in _lemma_operands(lid):
+        path = _write(tmp_path, f"{flag}.json", mat)
+        argv += [f"--{flag}", path]
+        kwargs[kw] = load_matrix(path)
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rep = check_lemma(lid, **kwargs)
+    assert doc["bound_id"] == lid
+    if lid == "L02":
+        assert doc["min_eig_of_difference"] == rep.min_eig_of_difference
+        assert doc["scale"] == rep.scale
+    else:
+        assert (doc["lhs"], doc["rhs"]) == (rep.lhs, rep.rhs)
+
+
+def test_check_non_finite_function_value_exits_precondition(tmp_path):
+    # expm1 overflows on the spectrum of P = Q = [900]
+    a = _write(tmp_path, "a.json", [[30.0]])
+    x = _write(tmp_path, "x.json", [[1.0]])
+    with np.errstate(over="ignore"):
+        rc = main(["check", "--bound", "B09", "--h", "expm1",
+                   "--A", a, "--B", a, "--X", x])
+    assert rc == 3
 
 
 # ----------------------------------------------------------------- campaign

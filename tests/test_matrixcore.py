@@ -134,6 +134,11 @@ def test_apply_fn_matches_scalar_calculus():
 def test_apply_fn_domain_violation():
     with pytest.raises(DomainViolationError):
         apply_fn(np.diag([-1.0, 1.0]), np.sqrt, (0.0, np.inf))
+    # a value that overflows is outside the function's usable domain too
+    with np.errstate(over="ignore"), pytest.raises(DomainViolationError):
+        apply_fn(np.diag([1.0, 900.0]), np.expm1, (0.0, np.inf), "expm1")
+    with pytest.raises(DomainViolationError):
+        apply_fn(np.eye(2), lambda t: np.full_like(t, np.nan))
 
 
 def test_apply_fn_clamps_edge_roundoff():

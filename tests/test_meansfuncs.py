@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from numrad.errors import (
+    DomainViolationError,
     HypothesisViolatedError,
     InvalidSpecError,
     NotIsometryError,
@@ -10,6 +11,7 @@ from numrad.errors import (
 )
 from numrad.meansfuncs import (
     MeanKind,
+    ScalarFn,
     SpectrumBounds,
     compress,
     eval_fn,
@@ -89,6 +91,17 @@ def test_eval_fn_pole_guard():
     # soft-edge function is fine on a singular PSD input
     out = eval_fn("shifted_inv:1", np.diag([0.0, 1.0]))
     assert_allclose(out, np.diag([1.0, 0.5]), atol=1e-12)
+
+
+def test_eval_fn_non_finite_values_are_domain_errors():
+    # both branches: the soft-edge calculus and the pole check
+    steep = ScalarFn("inv_pow:400", "decreasing", (0.0, np.inf),
+                     lambda t: t ** -400.0, strict_lo=True)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainViolationError):
+            eval_fn("expm1", np.diag([1.0, 900.0]))
+        with pytest.raises(DomainViolationError):
+            eval_fn(steep, np.diag([0.1, 1.0]))
 
 
 def test_psd_pow_roundtrip_and_negative_power():
