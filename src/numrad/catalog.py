@@ -24,7 +24,6 @@ records those violations honestly.  Claim text lives in each docstring.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -388,8 +387,8 @@ def _aluthge_parts(a, pair):
     f, g = get_pair(pair)
     a = as_cmatrix(a, "A")
     parts = polar(a)
-    fa = apply_fn(parts.positive, f.fn, (0.0, np.inf))
-    ga = apply_fn(parts.positive, g.fn, (0.0, np.inf))
+    fa = eval_fn(f, parts.positive)
+    ga = eval_fn(g, parts.positive)
     return fa, ga, fa @ parts.unitary @ ga
 
 
@@ -416,8 +415,8 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     w = numerical_radius(a).value
     wt = numerical_radius(at).value
     r13 = 0.5 * op_norm(fa) ** p * op_norm(ga) ** p + 0.5 * wt ** p
-    f2 = apply_fn(_sym(fa @ fa), hf.fn, (0.0, np.inf))
-    g2 = apply_fn(_sym(ga @ ga), hf.fn, (0.0, np.inf))
+    f2 = eval_fn(hf, _sym(fa @ fa))
+    g2 = eval_fn(hf, _sym(ga @ ga))
     r15 = 0.25 * op_norm(f2 + g2) + 0.5 * hf(wt)
     params = {"pair": str(pair), "h": hf.name, "p": p, "omega_transform": wt}
     return (
@@ -501,13 +500,13 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
             "commutation_defect": dev}
     note = "" if comm_ok else f"commutation defect {dev:.3e} exceeds gate"
 
-    r18 = op_norm((1.0 - nu) * apply_fn(r * r * s1, hf.fn, (0.0, np.inf))
-                  + nu * apply_fn(r * r * s2, hf.fn, (0.0, np.inf)))
+    r18 = op_norm((1.0 - nu) * eval_fn(hf, r * r * s1)
+                  + nu * eval_fn(hf, r * r * s2))
     rep18 = _report("B18", hf(w * w), r18, base, comm_ok, note)
 
     if r <= 1.0 + 1e-12:
-        r19 = r * r * op_norm((1.0 - nu) * apply_fn(s1, hf.fn, (0.0, np.inf))
-                              + nu * apply_fn(s2, hf.fn, (0.0, np.inf)))
+        r19 = r * r * op_norm((1.0 - nu) * eval_fn(hf, s1)
+                              + nu * eval_fn(hf, s2))
         rep19 = _report("B19", hf(w * w), r19, base, comm_ok, note)
     else:
         rep19 = _skipped("B19", base,
@@ -517,8 +516,8 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     t1 = _sym(b.conj().T @ psd_pow(abs_as, 2.0 * (1.0 - nu)) @ b)
     s1p = psd_pow(t1, 1.0 / (1.0 - nu))
     s2p = psd_pow(abs_a, 2.0)
-    r20 = op_norm((1.0 - nu) * apply_fn(r * r * s1p, hf.fn, (0.0, np.inf))
-                  + nu * apply_fn(r * r * s2p, hf.fn, (0.0, np.inf)))
+    r20 = op_norm((1.0 - nu) * eval_fn(hf, r * r * s1p)
+                  + nu * eval_fn(hf, r * r * s2p))
     rep20 = _report("B20", hf(w * w), r20, base, comm_ok, note)
 
     p = hf.params[0] if hf.name.startswith("pow:") else 1.0
@@ -553,8 +552,8 @@ def _l01(a, x, y, pair="sqrt") -> BoundReport:
     n = a.shape[0]
     x = _unit_vec(x, n, "x")
     y = _unit_vec(y, n, "y")
-    fa = apply_fn(abs_op(a), f.fn, (0.0, np.inf))
-    gas = apply_fn(abs_op(a.conj().T), g.fn, (0.0, np.inf))
+    fa = eval_fn(f, abs_op(a))
+    gas = eval_fn(g, abs_op(a.conj().T))
     lhs = abs(complex(y.conj() @ (a @ x)))
     rhs = float(np.linalg.norm(fa @ x) * np.linalg.norm(gas @ y))
     return _report("L01", lhs, rhs, {"pair": str(pair)})
@@ -690,8 +689,8 @@ def _l08(a, b, x, y, pair="sqrt") -> BoundReport:
     params = {"pair": str(pair), "commutation_defect": dev}
     if dev > ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(b)):
         return _skipped("L08", params, f"commutation defect {dev:.3e}")
-    fa = apply_fn(aa, f.fn, (0.0, np.inf))
-    gas = apply_fn(abs_op(a.conj().T), g.fn, (0.0, np.inf))
+    fa = eval_fn(f, aa)
+    gas = eval_fn(g, abs_op(a.conj().T))
     lhs = abs(complex(y.conj() @ (a @ b @ x)))
     rhs = spectral_radius(b) * float(np.linalg.norm(fa @ x)
                                      * np.linalg.norm(gas @ y))
@@ -705,9 +704,9 @@ def _l09(p, q, h="pow:1", nu=0.5) -> BoundReport:
         raise InvalidSpecError(f"weight must lie in [0, 1], got {nu}")
     p = as_cmatrix(p, "P")
     q = as_cmatrix(q, "Q")
-    lhs = op_norm(apply_fn(_sym((1.0 - nu) * p + nu * q), hf.fn, (0.0, np.inf)))
-    rhs = op_norm((1.0 - nu) * apply_fn(_sym(p), hf.fn, (0.0, np.inf))
-                  + nu * apply_fn(_sym(q), hf.fn, (0.0, np.inf)))
+    lhs = op_norm(eval_fn(hf, _sym((1.0 - nu) * p + nu * q)))
+    rhs = op_norm((1.0 - nu) * eval_fn(hf, _sym(p))
+                  + nu * eval_fn(hf, _sym(q)))
     return _report("L09", lhs, rhs, {"h": hf.name, "nu": nu})
 
 
@@ -869,15 +868,13 @@ def required_operands(bound_id: str) -> tuple[str, ...]:
 
 
 def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
-                   nu: float = 0.5, pair="sqrt", h=None, sigma="arith",
-                   unit_x=None):
+                   nu: float = 0.5, pair="sqrt", h=None, sigma="arith"):
     """Evaluate a single catalogued bound by ID.
 
     Operands and parameters the bound does not consume are ignored;
     missing required operands raise InvalidSpecError.  ``h`` defaults to
     the family evaluator's own default: "inv" for the decreasing-function
-    family (B06-B07), "pow:1" elsewhere.  ``unit_x`` reaches only an
-    evaluator that takes it (B06/B06p's).
+    family (B06-B07), "pow:1" elsewhere.
     """
     need = required_operands(bound_id)
     got = {"a": a, "b": b, "x": x}
@@ -892,9 +889,6 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
     fam = _FAMILY_OF[bound_id]
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
     params = {k: given[k] for k in fam.grids if given[k] is not None}
-    if unit_x is not None and \
-            "unit_x" in inspect.signature(globals()[fam.check]).parameters:
-        params["unit_x"] = unit_x
     return evaluate_family(fam, got, **params)[fam.ids.index(bound_id)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -72,9 +73,17 @@ def _report_doc(rep) -> dict:
     return doc
 
 
+def _json_safe(v):
+    """``v`` with every non-finite float, nested in dicts too, as None."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _print(doc, as_json: bool):
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(_json_safe(doc), indent=2, sort_keys=True,
+                         allow_nan=False))
     else:
         for k, v in doc.items():
             print(f"{k} = {v}")

@@ -9,7 +9,9 @@ Conventions:
 
 * the adjoint is written ``A*`` in docstrings and computed by `adjoint`,
 * Hermitian eigenvalues are returned in ascending order,
-* ``|A|`` always means the positive-semidefinite factor ``(A* A)^(1/2)``.
+* ``|A|`` always means the positive-semidefinite factor ``(A* A)^(1/2)``,
+* every scalar function of a Hermitian matrix (``|A|``, powers, the
+  registered functions of `meansfuncs`) is computed by `apply_fn`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     DomainViolationError,
     NotHermitianError,
+    NotPositiveDefiniteError,
     NotSquareError,
 )
 
@@ -38,9 +41,11 @@ __all__ = [
     "apply_fn",
 ]
 
-# Relative tolerance for "is this Hermitian / inside the domain" decisions.
+# Relative tolerance for "is this Hermitian / inside the domain / positive
+# definite" decisions.
 HERM_TOL = 1e-10
 DOMAIN_TOL = 1e-10
+PD_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +101,19 @@ def adjoint(a) -> np.ndarray:
     return as_cmatrix(a, "A").conj().T
 
 
-def herm_eigen(h, tol: float = HERM_TOL) -> HermEigen:
+def herm_eigen(h) -> HermEigen:
     """Eigen-decompose a Hermitian matrix.
 
     The input may carry floating-point asymmetry up to
-    ``tol * (1 + ||H||_F)``; it is symmetrized before the solve.  Anything
-    worse raises NotHermitianError rather than silently projecting.
+    ``HERM_TOL * (1 + ||H||_F)``; it is symmetrized before the solve.
+    Anything worse raises NotHermitianError rather than silently projecting.
     """
     h = as_cmatrix(h, "H")
     _require_square(h, "H")
     if h.size == 0:
         return HermEigen(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
     dev = np.linalg.norm(h - h.conj().T)
-    if dev > tol * (1.0 + np.linalg.norm(h)):
+    if dev > HERM_TOL * (1.0 + np.linalg.norm(h)):
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {dev:.3e}"
         )
@@ -137,16 +142,13 @@ def op_norm(a) -> float:
 def abs_op(a) -> np.ndarray:
     """Modulus |A| = (A* A)^(1/2), positive semidefinite.
 
-    Computed through the Hermitian eigendecomposition of A* A with
-    negative round-off eigenvalues clipped to zero before the square
-    root, so the result is PSD to machine precision.
+    `apply_fn` of the square root to the Gram matrix A* A: round-off
+    eigenvalues just below zero are clamped to zero, so the result is PSD
+    to machine precision.
     """
     a = as_cmatrix(a, "A")
     _require_square(a, "A")
-    gram = a.conj().T @ a
-    e = herm_eigen(gram, tol=1e-8)
-    w = np.sqrt(np.clip(e.eigenvalues, 0.0, None))
-    return e.compose(w)
+    return apply_fn(a.conj().T @ a, np.sqrt, (0.0, np.inf), "abs")
 
 
 def polar(a) -> PolarParts:
@@ -164,37 +166,58 @@ def polar(a) -> PolarParts:
 
 
 def apply_fn(h, fn, domain: tuple[float, float] | None = None,
-             name: str = "fn") -> np.ndarray:
+             name: str = "fn", pole: bool = False) -> np.ndarray:
     """Hermitian functional calculus: V diag(fn(w)) V*.
 
-    ``fn`` must accept a real eigenvalue vector.  When ``domain`` is
-    given, eigenvalues may stray outside it by at most
-    ``1e-10 * max(1, ||H||)`` (they are clamped back to the closed
-    interval before evaluation); beyond that DomainViolationError is
-    raised.  So is a non-finite value of ``fn``.
+    Every scalar function of a matrix in numrad is computed here, under
+    four rules:
+
+    * H is Hermitian to ``HERM_TOL`` (`herm_eigen`);
+    * ``pole=True`` marks a pole at the lower domain edge: H must then be
+      positive definite by `_pd_ok`, else NotPositiveDefiniteError;
+    * when ``domain`` is given, eigenvalues may stray outside it by at
+      most ``DOMAIN_TOL * max(1, ||H||)`` (they are clamped back to the
+      closed interval before evaluation); beyond that
+      DomainViolationError is raised;
+    * ``fn`` must map the real eigenvalue vector elementwise to finite
+      values (`_fn_values`).
     """
     e = herm_eigen(h)
     w = e.eigenvalues
+    if pole and not _pd_ok(w):
+        raise NotPositiveDefiniteError(
+            f"{name} has a pole at the domain edge and needs a positive "
+            f"definite argument (min eigenvalue {w[0] if w.size else 0.0:.6g})"
+        )
     if domain is not None and w.size:
         lo, hi = domain
-        slack = DOMAIN_TOL * max(1.0, float(np.max(np.abs(w))))
-        if np.min(w) < lo - slack or np.max(w) > hi + slack:
+        bottom, top = float(w[0]), float(w[-1])
+        slack = DOMAIN_TOL * max(1.0, -bottom, top)
+        if bottom < lo - slack or top > hi + slack:
             raise DomainViolationError(
-                f"spectrum [{np.min(w):.6g}, {np.max(w):.6g}] leaves the "
+                f"spectrum [{bottom:.6g}, {top:.6g}] leaves the "
                 f"domain [{lo:.6g}, {hi:.6g}] of {name}"
             )
-        w = np.clip(w, lo, hi if np.isfinite(hi) else None)
+        if bottom < lo or top > hi:
+            w = np.clip(w, lo, hi)
     return e.compose(_fn_values(fn, w, name))
 
 
+def _pd_ok(w) -> bool:
+    """The positive-definiteness rule on ascending eigenvalues:
+    min eig > PD_TOL * max(1, max |eig|).  An empty spectrum fails it."""
+    return bool(w.size and w[0] > PD_TOL * max(1.0, -float(w[0]), float(w[-1])))
+
+
 def _fn_values(fn, w: np.ndarray, name: str) -> np.ndarray:
-    """fn on the ascending eigenvalues w: elementwise (ValueError
-    otherwise) and finite (DomainViolationError otherwise)."""
+    """fn on the real argument w (a 0-d value or ascending eigenvalues):
+    elementwise (ValueError otherwise) and finite (DomainViolationError
+    otherwise)."""
     vals = np.asarray(fn(w), dtype=float)
     if vals.shape != w.shape:
         raise ValueError(f"{name} must map eigenvalues elementwise")
     if not np.isfinite(vals).all():
         raise DomainViolationError(
-            f"{name} is not finite on the spectrum [{w[0]:.6g}, {w[-1]:.6g}]"
+            f"{name} is not finite on [{np.min(w):.6g}, {np.max(w):.6g}]"
         )
     return vals

@@ -29,7 +29,7 @@ from .errors import (
     NotIsometryError,
     NotPositiveDefiniteError,
 )
-from .matrixcore import _fn_values, apply_fn, as_cmatrix, herm_eigen, op_norm
+from .matrixcore import _fn_values, _pd_ok, apply_fn, as_cmatrix, herm_eigen, op_norm
 
 __all__ = [
     "ScalarFn",
@@ -48,7 +48,6 @@ __all__ = [
     "require_pd",
 ]
 
-PD_TOL = 1e-10
 ISO_TOL = 1e-10
 
 
@@ -58,8 +57,9 @@ class ScalarFn:
 
     ``kind`` is "decreasing" (operator monotone decreasing) or
     "increasing" (increasing convex, h(0) = 0).  ``strict_lo`` marks a
-    pole at the lower domain edge, in which case the spectrum must stay
-    strictly above it.
+    pole at the lower domain edge, in which case a matrix argument must be
+    positive definite.  A call on scalars or arrays obeys the finiteness
+    rule of `matrixcore.apply_fn`.
     """
 
     name: str
@@ -71,8 +71,8 @@ class ScalarFn:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        out = np.asarray(self.fn(arr), dtype=float)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        out = _fn_values(self.fn, arr, self.name)
+        return float(out) if arr.ndim == 0 else out
 
 
 def _fn_inv() -> ScalarFn:
@@ -179,28 +179,12 @@ def list_fns() -> list[str]:
 def eval_fn(spec, h) -> np.ndarray:
     """Apply a registered scalar function to a Hermitian matrix.
 
-    Strict lower edges (inv-type poles) demand a strictly positive
-    spectrum; NotPositiveDefiniteError is raised otherwise.  Soft edges
-    follow the clamp-within-tolerance rule of `matrixcore.apply_fn`.  A
-    non-finite function value raises DomainViolationError.
+    `matrixcore.apply_fn` with the function's own domain and name, and a
+    pole when ``strict_lo`` is set: inv-type functions then raise
+    NotPositiveDefiniteError unless the argument is positive definite.
     """
     f = get_fn(spec)
-    h = as_cmatrix(h, "H")
-    if f.strict_lo and h.size:
-        e = herm_eigen(h)
-        if e.eigenvalues[0] <= f.domain[0]:
-            raise NotPositiveDefiniteError(
-                f"{f.name} needs spectrum > {f.domain[0]:g}, "
-                f"min eigenvalue is {e.eigenvalues[0]:.6g}"
-            )
-        return e.compose(_fn_values(f.fn, e.eigenvalues, f.name))
-    return apply_fn(h, f.fn, domain=f.domain, name=f.name)
-
-
-def _pd_ok(w) -> bool:
-    """The positive-definiteness rule on ascending eigenvalues:
-    min eig > 1e-10 * max(1, max |eig|).  An empty spectrum fails it."""
-    return bool(w.size and w[0] > PD_TOL * max(1.0, float(np.max(np.abs(w)))))
+    return apply_fn(h, f.fn, f.domain, f.name, pole=f.strict_lo)
 
 
 def pd_test(p) -> tuple[bool, float]:
@@ -216,16 +200,12 @@ def pd_test(p) -> tuple[bool, float]:
 def psd_pow(p, s: float) -> np.ndarray:
     """Power P^s of a positive-semidefinite matrix.
 
-    Negative round-off eigenvalues are clipped to zero first.  Negative
-    exponents additionally require the clipped spectrum to be positive
-    definite.
+    `matrixcore.apply_fn` of t^s on [0, inf): round-off eigenvalues just
+    below zero are clamped to zero, and a negative exponent is a pole, so
+    P must then be positive definite.
     """
-    p = as_cmatrix(p, "P")
-    e = herm_eigen(p, tol=1e-8)
-    w = np.clip(e.eigenvalues, 0.0, None)
-    if s < 0 and not _pd_ok(w):
-        raise NotPositiveDefiniteError("negative power of a singular PSD matrix")
-    return e.compose(w ** s)
+    return apply_fn(p, lambda t: t ** s, (0.0, np.inf), f"pow:{s:g}",
+                    pole=s < 0)
 
 
 def require_pd(p, name: str = "P") -> np.ndarray:

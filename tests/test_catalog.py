@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numrad.catalog import (
     ALL_BOUND_IDS,
@@ -34,15 +36,19 @@ from numrad.catalog import (
     check_symmetrized,
     compatible_signatures,
     evaluate_bound,
+    evaluate_family,
     required_operands,
     _report,
 )
 from numrad.errors import (
     IncompatibleBoundsError,
     InvalidSpecError,
+    NumradError,
     UnknownBoundIdError,
 )
+from numrad.matrixcore import abs_op
 from numrad.radii import numerical_radius
+from test_acceptance import _ginibre, _lemma_inputs, _poly_in
 
 I2 = np.eye(2, dtype=complex)
 JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -642,3 +648,50 @@ def test_every_bound_id_dispatches_on_identity():
         rep = evaluate_bound(bid, a=I2, b=I2, x=I2)
         assert rep.bound_id == bid
         assert rep.satisfied, bid
+
+
+# ------------------------------------------------- robustness under scaling
+
+_FAMILY_NAMED = {f.name: f for f in FAMILIES}
+
+
+def _scaled_reports(name, seed, n, t, s):
+    """The reports of family or lemma ``name`` at trial t, every matrix
+    operand scaled by s.  A family takes Ginibre operands (X a polynomial
+    in |A*| when it must commute) and cycles each grid by t, as campaigns
+    do; a lemma takes the acceptance-4 inputs, whose unit vectors and
+    isometries stay as drawn."""
+    rng = np.random.default_rng(seed)
+    if name in LEMMAS:
+        kw = _lemma_inputs(name, rng, n, t)
+        kw = {k: s * v if isinstance(v, np.ndarray) and v.ndim == 2 and k != "v"
+              else v for k, v in kw.items()}
+        return (check_lemma(name, **kw),)
+    fam = _FAMILY_NAMED[name]
+    mats = {op: _ginibre(rng, n) for op in fam.operands}
+    if fam.commuting_x:
+        mats["x"] = _poly_in(rng, abs_op(mats["a"].conj().T))
+    params = {key: grid[t % len(grid)] for key, grid in fam.grids.items()}
+    return evaluate_family(fam, {k: s * m for k, m in mats.items()}, **params)
+
+
+@pytest.mark.parametrize("name", list(_FAMILY_NAMED) + list(LEMMA_IDS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5),
+       t=st.integers(0, 17), k=st.floats(-3.0, 3.0))
+@example(seed=0, n=2, t=2, k=3.0)  # the last grid values (expm1) at 1e3
+def test_scaled_inputs_give_finite_reports_or_typed_errors(name, seed, n, t, k):
+    # inputs scaled by 10^k either give a report whose sides are finite
+    # wherever its hypothesis holds, or raise a NumradError; no verdict is
+    # asserted
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            reports = _scaled_reports(name, seed, n, t, 10.0 ** k)
+    except NumradError:
+        return
+    for rep in reports:
+        if not rep.hypothesis_ok:
+            continue
+        sides = ((rep.min_eig_of_difference, rep.scale)
+                 if isinstance(rep, LoewnerReport) else (rep.lhs, rep.rhs))
+        assert all(math.isfinite(v) for v in sides), (rep, k)

@@ -259,6 +259,27 @@ def test_check_non_finite_function_value_exits_precondition(tmp_path):
     assert rc == 3
 
 
+def test_check_non_finite_scalar_value_exits_precondition(tmp_path):
+    # h(w(A*B)) = expm1(900) overflows: a precondition error, not a verdict
+    a = _write(tmp_path, "a.json", [[30.0]])
+    with np.errstate(over="ignore"):
+        rc = main(["check", "--bound", "B11", "--h", "expm1", "--A", a, "--B", a])
+    assert rc == 3
+
+
+def test_check_json_skipped_report_is_strict_json(capsys, tmp_path):
+    neg = _write(tmp_path, "neg.json", np.diag([1.0, -1.0, 1.0]))
+    assert main(["check", "--bound", "L02", "--A", neg, "--B", neg,
+                 "--json"]) == 4
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["min_eig_of_difference"] is None
+    assert doc["scale"] is None
+
+
 # ----------------------------------------------------------------- campaign
 
 def test_campaign_clean_bound(capsys, tmp_path):

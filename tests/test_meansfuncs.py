@@ -88,6 +88,12 @@ def test_eval_fn_matches_diagonal_calculus():
 def test_eval_fn_pole_guard():
     with pytest.raises(NotPositiveDefiniteError):
         eval_fn("inv", np.diag([0.0, 1.0]))
+    # a pole takes the one positive-definiteness rule, before the domain
+    # check: a negative spectrum, one below PD_TOL * max(1, ||H||) and the
+    # empty matrix are all rejected as not positive definite
+    for h in (np.diag([-1.0, 1.0]), np.diag([1e-12, 1.0]), np.zeros((0, 0))):
+        with pytest.raises(NotPositiveDefiniteError):
+            eval_fn("inv", h)
     # soft-edge function is fine on a singular PSD input
     out = eval_fn("shifted_inv:1", np.diag([0.0, 1.0]))
     assert_allclose(out, np.diag([1.0, 0.5]), atol=1e-12)
@@ -104,6 +110,15 @@ def test_eval_fn_non_finite_values_are_domain_errors():
             eval_fn(steep, np.diag([0.1, 1.0]))
 
 
+def test_scalar_fn_values_obey_finiteness_rule():
+    # a call on scalars follows the same rule as a call on a matrix
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(DomainViolationError):
+            get_fn("expm1")(900.0)
+        with pytest.raises(DomainViolationError):
+            get_fn("inv")(np.array([0.0, 1.0]))
+
+
 def test_psd_pow_roundtrip_and_negative_power():
     rng = np.random.default_rng(2)
     p = _rand_pd(rng, 4)
@@ -112,6 +127,9 @@ def test_psd_pow_roundtrip_and_negative_power():
     assert_allclose(psd_pow(p, -1.0) @ p, np.eye(4), atol=1e-9)
     with pytest.raises(NotPositiveDefiniteError):
         psd_pow(np.diag([0.0, 1.0]), -0.5)
+    # a spectrum beyond round-off below zero leaves the domain of t^s
+    with pytest.raises(DomainViolationError):
+        psd_pow(np.diag([-1.0, 4.0]), 0.5)
 
 
 def test_require_pd():
