@@ -53,6 +53,7 @@ from .matrixcore import (
     as_cmatrix,
     general_eigenvalues,
     herm_eigen,
+    moduli,
     op_norm,
     polar,
 )

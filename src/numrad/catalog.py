@@ -35,7 +35,7 @@ from .errors import (
     InvalidSpecError,
     UnknownBoundIdError,
 )
-from .matrixcore import abs_op, adjoint, apply_fn, as_cmatrix, herm_eigen, op_norm, polar
+from .matrixcore import adjoint, apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
 from .meansfuncs import (
     compress,
     eval_fn,
@@ -182,13 +182,15 @@ def _need_weight(nu):
 
 
 def _pd_gate(p, q, what):
-    """Joint spectrum bounds of P and Q when both are positive definite,
-    else the skip note naming ``what``."""
-    ok_p, me_p = pd_test(p)
-    ok_q, me_q = pd_test(q)
+    """(gate, eP, eQ) with P and Q factorized once: the gate is their
+    joint spectrum bounds when both are positive definite, else the skip
+    note naming ``what``."""
+    ep, eq = herm_eigen(p), herm_eigen(q)
+    (ok_p, me_p), (ok_q, me_q) = pd_test(ep), pd_test(eq)
     if not (ok_p and ok_q):
-        return f"{what} not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
-    return spectrum_bounds([p, q])
+        note = f"{what} not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
+        return note, ep, eq
+    return spectrum_bounds([ep, eq]), ep, eq
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +234,12 @@ def _omega_ba(a, b) -> float:
 
 
 def _b05(a, b, x, p) -> BoundReport:
-    """w(A*XB)^p <= ||(A*|X*|A)^p + (B*|X|B)^p|| / 2."""
+    """w(A*XB)^p <= ||(A*|X*|A)^p + (B*|X|B)^p|| / 2: the P and Q of B06-B10
+    for the sqrt pair."""
     _need_power(p)
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    w = numerical_radius(a.conj().T @ x @ b).value
-    left = _sym(a.conj().T @ abs_op(x.conj().T) @ a)
-    right = _sym(b.conj().T @ abs_op(x) @ b)
-    rhs = 0.5 * op_norm(psd_pow(left, p) + psd_pow(right, p))
-    return _report("B05", w ** p, rhs, {"p": p})
+    p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
+    rhs = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
+    return _report("B05", _target_omega(a, b, x, None) ** p, rhs, {"p": p})
 
 
 def check_classics(a, b, x, p: float = 1.0):
@@ -260,8 +260,9 @@ def check_classics(a, b, x, p: float = 1.0):
 def _mean_pq(a, b, x, pair):
     f, g = get_pair(pair)
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    fx = apply_fn(abs_op(x), lambda t: np.asarray(f.fn(t)) ** 2, (0.0, np.inf))
-    gxs = apply_fn(abs_op(x.conj().T), lambda t: np.asarray(g.fn(t)) ** 2, (0.0, np.inf))
+    abs_x, abs_xs, _ = moduli(x)
+    fx = apply_fn(abs_x, lambda t: np.asarray(f.fn(t)) ** 2)
+    gxs = apply_fn(abs_xs, lambda t: np.asarray(g.fn(t)) ** 2)
     p_mat = _sym(b.conj().T @ fx @ b)
     q_mat = _sym(a.conj().T @ gxs @ a)
     return p_mat, q_mat
@@ -293,12 +294,12 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith", unit_x=None):
     hf = _need_kind(h, "decreasing")
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
-    sb = _pd_gate(p_mat, q_mat, "P or Q")
+    sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
     if isinstance(sb, str):
         return _skipped("B06", params, sb), _skipped("B06p", params, sb)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
-    lhs = op_norm(mean(eval_fn(hf, p_mat), eval_fn(hf, q_mat), sigma, 0.5))
+    lhs = op_norm(mean(eval_fn(hf, ep), eval_fn(hf, eq), sigma, 0.5))
     w = _target_omega(a, b, x, unit_x)
     return (
         _report("B06", lhs, (sb.m * k / sb.M) * hf(w), params),
@@ -321,12 +322,12 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
     pw = psd_pow(p_mat, 1.0 / (1.0 - nu))
     qw = psd_pow(q_mat, 1.0 / nu)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": nu}
-    sb = _pd_gate(pw, qw, "powered pair")
+    sb, epw, eqw = _pd_gate(pw, qw, "powered pair")
     if isinstance(sb, str):
         return _skipped("B07", params, sb)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
-    lhs = op_norm(mean(eval_fn(hf, pw), eval_fn(hf, qw), sigma, nu))
+    lhs = op_norm(mean(eval_fn(hf, epw), eval_fn(hf, eqw), sigma, nu))
     w = _target_omega(a, b, x, None)
     return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params)
 
@@ -342,7 +343,7 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     _need_power(p)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "p": p}
-    sb = _pd_gate(p_mat, q_mat, "P or Q")
+    sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
     if isinstance(sb, str):
         return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
     k = sb.kantorovich
@@ -350,8 +351,8 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     w = _target_omega(a, b, x, None)
     c = sb.m * k / sb.M
     r08 = c * op_norm(mean(p_mat, q_mat, "harm", 0.5))
-    r09 = 0.5 * c * op_norm(eval_fn(hf, p_mat) + eval_fn(hf, q_mat))
-    r10 = 0.5 * c * op_norm(psd_pow(p_mat, p) + psd_pow(q_mat, p))
+    r09 = 0.5 * c * op_norm(eval_fn(hf, ep) + eval_fn(hf, eq))
+    r10 = 0.5 * c * op_norm(psd_pow(ep, p) + psd_pow(eq, p))
     return (
         _report("B08", w, r08, params),
         _report("B09", hf(w), r09, params),
@@ -385,11 +386,10 @@ def check_mox(a, b, h="pow:1", p: float = 1.0):
 
 def _aluthge_parts(a, pair):
     f, g = get_pair(pair)
-    a = as_cmatrix(a, "A")
-    parts = polar(a)
-    fa = eval_fn(f, parts.positive)
-    ga = eval_fn(g, parts.positive)
-    return fa, ga, fa @ parts.unitary @ ga
+    abs_a, _, u = moduli(a)
+    fa = eval_fn(f, abs_a)
+    ga = eval_fn(g, abs_a)
+    return fa, ga, fa @ u @ ga
 
 
 def aluthge_transform(a, pair="sqrt") -> np.ndarray:
@@ -487,15 +487,15 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     _need_weight(nu)
     f, g = get_pair(pair)
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    abs_as, abs_a = abs_op(a.conj().T), abs_op(a)
+    e_a, e_as, _ = moduli(a)
+    abs_as = e_as.compose()
     dev = op_norm(abs_as @ x - x.conj().T @ abs_as)
     comm_ok = dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(x))
     r = spectral_radius(x)
     w = numerical_radius(a.conj().T @ x @ b).value
-    f2 = apply_fn(abs_as, lambda t: np.asarray(f.fn(t)) ** 2, (0.0, np.inf))
+    f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
     s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
-    s2 = apply_fn(abs_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu),
-                  (0.0, np.inf))
+    s2 = apply_fn(e_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu))
     base = {"pair": str(pair), "h": hf.name, "nu": nu, "r": r,
             "commutation_defect": dev}
     note = "" if comm_ok else f"commutation defect {dev:.3e} exceeds gate"
@@ -513,16 +513,16 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
                          f"spectral radius {r:.6g} exceeds 1" + (
                              "; " + note if note else ""))
 
-    t1 = _sym(b.conj().T @ psd_pow(abs_as, 2.0 * (1.0 - nu)) @ b)
+    t1 = _sym(b.conj().T @ psd_pow(e_as, 2.0 * (1.0 - nu)) @ b)
     s1p = psd_pow(t1, 1.0 / (1.0 - nu))
-    s2p = psd_pow(abs_a, 2.0)
+    s2p = psd_pow(e_a, 2.0)
     r20 = op_norm((1.0 - nu) * eval_fn(hf, r * r * s1p)
                   + nu * eval_fn(hf, r * r * s2p))
     rep20 = _report("B20", hf(w * w), r20, base, comm_ok, note)
 
     p = hf.params[0] if hf.name.startswith("pow:") else 1.0
     r21 = r ** (2.0 * p) * op_norm(
-        (1.0 - nu) * psd_pow(t1, p / (1.0 - nu)) + nu * psd_pow(abs_a, 2.0 * p)
+        (1.0 - nu) * psd_pow(t1, p / (1.0 - nu)) + nu * psd_pow(e_a, 2.0 * p)
     )
     rep21 = _report("B21", w ** (2.0 * p), r21, {**base, "p": p}, comm_ok, note)
     return rep18, rep19, rep20, rep21
@@ -545,6 +545,14 @@ def _unit_vec(v, n, name):
     return v
 
 
+def _pair_norms(f, g, mods, x, y) -> float:
+    """||f(|A|) x|| ||g(|A*|) y||, the right side of the mixed Schwarz
+    inequality, with ``mods`` = moduli(A)."""
+    abs_a, abs_as, _ = mods
+    return float(np.linalg.norm(eval_fn(f, abs_a) @ x)
+                 * np.linalg.norm(eval_fn(g, abs_as) @ y))
+
+
 def _l01(a, x, y, pair="sqrt") -> BoundReport:
     """|<Ax, y>| <= ||f(|A|) x|| ||g(|A*|) y|| for any pair f g = t."""
     f, g = get_pair(pair)
@@ -552,11 +560,9 @@ def _l01(a, x, y, pair="sqrt") -> BoundReport:
     n = a.shape[0]
     x = _unit_vec(x, n, "x")
     y = _unit_vec(y, n, "y")
-    fa = eval_fn(f, abs_op(a))
-    gas = eval_fn(g, abs_op(a.conj().T))
     lhs = abs(complex(y.conj() @ (a @ x)))
-    rhs = float(np.linalg.norm(fa @ x) * np.linalg.norm(gas @ y))
-    return _report("L01", lhs, rhs, {"pair": str(pair)})
+    return _report("L01", lhs, _pair_norms(f, g, moduli(a), x, y),
+                   {"pair": str(pair)})
 
 
 def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
@@ -571,7 +577,7 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
-    sb = _pd_gate(a, b, "operands")
+    sb = _pd_gate(a, b, "operands")[0]
     if isinstance(sb, str):
         return LoewnerReport("L02", float("nan"), False, False,
                              "operands must be positive definite", params)
@@ -598,11 +604,12 @@ def _l03(a, h="inv") -> BoundReport:
     """
     hf = _need_kind(h, "decreasing")
     a = as_cmatrix(a, "A")
-    ok, me = pd_test(a)
+    ea = herm_eigen(a)
+    ok, me = pd_test(ea)
     if not ok:
         return _skipped("L03", {"h": hf.name},
                         f"operand not positive definite (min eig {me:.3e})")
-    lhs = op_norm(eval_fn(hf, psd_pow(a, -1.0)))
+    lhs = op_norm(eval_fn(hf, psd_pow(ea, -1.0)))
     rhs = hf(1.0 / op_norm(a))
     return _report("L03", lhs, rhs, {"h": hf.name})
 
@@ -684,16 +691,14 @@ def _l08(a, b, x, y, pair="sqrt") -> BoundReport:
     n = a.shape[0]
     x = _unit_vec(x, n, "x")
     y = _unit_vec(y, n, "y")
-    aa = abs_op(a)
+    mods = moduli(a)
+    aa = mods[0].compose()
     dev = op_norm(aa @ b - b.conj().T @ aa)
     params = {"pair": str(pair), "commutation_defect": dev}
     if dev > ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(b)):
         return _skipped("L08", params, f"commutation defect {dev:.3e}")
-    fa = eval_fn(f, aa)
-    gas = eval_fn(g, abs_op(a.conj().T))
     lhs = abs(complex(y.conj() @ (a @ b @ x)))
-    rhs = spectral_radius(b) * float(np.linalg.norm(fa @ x)
-                                     * np.linalg.norm(gas @ y))
+    rhs = spectral_radius(b) * _pair_norms(f, g, mods, x, y)
     return _report("L08", lhs, rhs, params)
 
 

@@ -497,11 +497,11 @@ def reference_examples() -> tuple:
 
     Example set 1 (A, B fixed 2x2): the quarter-norm bound
     ||AA* + BB*||/4 and the product bound ||A|| ||B||/2.  Example set 2
-    (A, B, X fixed 2x2): the Schwarz-type bound ||A*|X*|A + B*|X|B||/2,
-    the block-refinement bound ||AA*X + XBB*||/4 +
-    max(w(XBA*), w(BA*X))/2, and w(A*XB) itself.  Each row reports the
-    deviation from the published value at printing precision (5e-4 for
-    set 1, 1e-3 for set 2).
+    (A, B, X fixed 2x2): the Schwarz-type bound ||A*|X*|A + B*|X|B||/2
+    (B05's right side at p = 1), the block-refinement bound
+    ||AA*X + XBB*||/4 + max(w(XBA*), w(BA*X))/2, and w(A*XB) itself.
+    Each row reports the deviation from the published value at printing
+    precision (5e-4 for set 1, 1e-3 for set 2).
 
     Two published set-2 values are not the quantities their rows
     compute, so those rows are not ``within``.  The published 42.2677 is
@@ -516,9 +516,7 @@ def reference_examples() -> tuple:
     r2 = 0.5 * op_norm(a1) * op_norm(b1)
 
     a2, b2, x2 = _EX2_A, _EX2_B, _EX2_X
-    s = (a2.conj().T @ abs_op(x2.conj().T) @ a2
-         + b2.conj().T @ abs_op(x2) @ b2)
-    r3 = 0.5 * op_norm(0.5 * (s + s.conj().T))
+    r3 = evaluate_bound("B05", a=a2, b=b2, x=x2).rhs  # at p = 1
     block = check_block(a2, b2, x2)  # B14: rhs is the bound, lhs w(A*XB)
     r4, r5 = block.rhs, block.lhs
 

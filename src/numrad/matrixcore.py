@@ -9,9 +9,13 @@ Conventions:
 
 * the adjoint is written ``A*`` in docstrings and computed by `adjoint`,
 * Hermitian eigenvalues are returned in ascending order,
-* ``|A|`` always means the positive-semidefinite factor ``(A* A)^(1/2)``,
-* every scalar function of a Hermitian matrix (``|A|``, powers, the
-  registered functions of `meansfuncs`) is computed by `apply_fn`.
+* ``|A|`` always means the positive-semidefinite factor ``(A* A)^(1/2)``;
+  `moduli` factorizes |A| and |A*| from one SVD, and `abs_op` and `polar`
+  read it,
+* every scalar function of a Hermitian matrix (powers, the registered
+  functions of `meansfuncs`) is computed by `apply_fn`,
+* wherever a Hermitian matrix is accepted, its `HermEigen` is accepted
+  too and is not factorized again, so each operand is factorized once.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "op_norm",
     "abs_op",
     "polar",
+    "moduli",
     "apply_fn",
 ]
 
@@ -102,16 +107,16 @@ def adjoint(a) -> np.ndarray:
 
 
 def herm_eigen(h) -> HermEigen:
-    """Eigen-decompose a Hermitian matrix.
+    """Eigen-decompose a Hermitian matrix; a HermEigen is returned as is.
 
     The input may carry floating-point asymmetry up to
     ``HERM_TOL * (1 + ||H||_F)``; it is symmetrized before the solve.
     Anything worse raises NotHermitianError rather than silently projecting.
     """
+    if isinstance(h, HermEigen):
+        return h
     h = as_cmatrix(h, "H")
     _require_square(h, "H")
-    if h.size == 0:
-        return HermEigen(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
     dev = np.linalg.norm(h - h.conj().T)
     if dev > HERM_TOL * (1.0 + np.linalg.norm(h)):
         raise NotHermitianError(
@@ -139,30 +144,32 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def abs_op(a) -> np.ndarray:
-    """Modulus |A| = (A* A)^(1/2), positive semidefinite.
+def moduli(a) -> tuple[HermEigen, HermEigen, np.ndarray]:
+    """(|A|, |A*|, U) of a square A, from one SVD A = W diag(s) Vh.
 
-    `apply_fn` of the square root to the Gram matrix A* A: round-off
-    eigenvalues just below zero are clamped to zero, so the result is PSD
-    to machine precision.
+    |A| = V diag(s) V* and |A*| = W diag(s) W* come back as HermEigen
+    (ascending), so every function of them reuses this SVD; the singular
+    values are never negative.  U = W Vh is the polar unitary, A = U |A|;
+    it is unitary even when A is singular, unlike |A|^{-1}-based
+    constructions.
     """
     a = as_cmatrix(a, "A")
     _require_square(a, "A")
-    return apply_fn(a.conj().T @ a, np.sqrt, (0.0, np.inf), "abs")
+    w, s, vh = np.linalg.svd(a)
+    s = s[::-1]
+    return HermEigen(s, vh[::-1].conj().T), HermEigen(s, w[:, ::-1]), w @ vh
+
+
+def abs_op(a) -> np.ndarray:
+    """Modulus |A| = (A* A)^(1/2), positive semidefinite, from `moduli`."""
+    return moduli(a)[0].compose()
 
 
 def polar(a) -> PolarParts:
-    """Polar decomposition A = U |A| with U unitary (square input).
-
-    U = W Vh from the SVD A = W diag(s) Vh; this choice is unitary even
-    when A is singular, unlike |A|^{-1}-based constructions.
-    """
-    a = as_cmatrix(a, "A")
-    _require_square(a, "A")
-    if a.size == 0:
-        return PolarParts(a.copy(), a.copy())
-    w, _, vh = np.linalg.svd(a)
-    return PolarParts(w @ vh, abs_op(a))
+    """Polar decomposition A = U |A| with U unitary (square input), both
+    factors from the one SVD of `moduli`."""
+    e, _, u = moduli(a)
+    return PolarParts(u, e.compose())
 
 
 def apply_fn(h, fn, domain: tuple[float, float] | None = None,
@@ -172,7 +179,8 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
     Every scalar function of a matrix in numrad is computed here, under
     four rules:
 
-    * H is Hermitian to ``HERM_TOL`` (`herm_eigen`);
+    * H is Hermitian to ``HERM_TOL`` (`herm_eigen`); a HermEigen of H is
+      used as it is;
     * ``pole=True`` marks a pole at the lower domain edge: H must then be
       positive definite by `_pd_ok`, else NotPositiveDefiniteError;
     * when ``domain`` is given, eigenvalues may stray outside it by at
@@ -205,8 +213,9 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
 
 def _pd_ok(w) -> bool:
     """The positive-definiteness rule on ascending eigenvalues:
-    min eig > PD_TOL * max(1, max |eig|).  An empty spectrum fails it."""
-    return bool(w.size and w[0] > PD_TOL * max(1.0, -float(w[0]), float(w[-1])))
+    min eig > PD_TOL * max |eig|, so it does not depend on the scale of
+    the matrix.  An empty spectrum fails it."""
+    return bool(w.size and w[0] > PD_TOL * max(-float(w[0]), float(w[-1])))
 
 
 def _fn_values(fn, w: np.ndarray, name: str) -> np.ndarray:

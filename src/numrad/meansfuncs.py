@@ -177,7 +177,8 @@ def list_fns() -> list[str]:
 
 
 def eval_fn(spec, h) -> np.ndarray:
-    """Apply a registered scalar function to a Hermitian matrix.
+    """Apply a registered scalar function to a Hermitian matrix or its
+    HermEigen.
 
     `matrixcore.apply_fn` with the function's own domain and name, and a
     pole when ``strict_lo`` is set: inv-type functions then raise
@@ -190,15 +191,16 @@ def eval_fn(spec, h) -> np.ndarray:
 def pd_test(p) -> tuple[bool, float]:
     """(whether P is positive definite, its smallest eigenvalue).
 
-    An empty matrix is not positive definite; its smallest eigenvalue
-    reads 0.
+    P is a Hermitian matrix or its HermEigen.  The rule is
+    `matrixcore._pd_ok`: min eig > 1e-10 * max |eig|.  An empty matrix is
+    not positive definite; its smallest eigenvalue reads 0.
     """
     w = herm_eigen(p).eigenvalues
     return _pd_ok(w), float(w[0]) if w.size else 0.0
 
 
 def psd_pow(p, s: float) -> np.ndarray:
-    """Power P^s of a positive-semidefinite matrix.
+    """Power P^s of a positive-semidefinite matrix or its HermEigen.
 
     `matrixcore.apply_fn` of t^s on [0, inf): round-off eigenvalues just
     below zero are clamped to zero, and a negative exponent is a pole, so
@@ -208,9 +210,9 @@ def psd_pow(p, s: float) -> np.ndarray:
                     pole=s < 0)
 
 
-def require_pd(p, name: str = "P") -> np.ndarray:
-    """Validate positive definiteness: min eig > 1e-10 * max(1, ||P||)."""
-    p = as_cmatrix(p, name)
+def require_pd(p, name: str = "P"):
+    """Return P (a Hermitian matrix or its HermEigen) if it is positive
+    definite by `pd_test`, else raise NotPositiveDefiniteError."""
     ok, min_eig = pd_test(p)
     if not ok:
         raise NotPositiveDefiniteError(
@@ -254,15 +256,15 @@ def mean(a, b, kind=MeanKind.ARITH, nu: float = 0.5) -> np.ndarray:
     if kind is MeanKind.ARITH:
         return (1.0 - nu) * a + nu * b
 
-    require_pd(a, "A")
-    require_pd(b, "B")
+    ea = require_pd(herm_eigen(a), "A")
+    eb = require_pd(herm_eigen(b), "B")
     if kind is MeanKind.HARM:
-        inv_mix = (1.0 - nu) * psd_pow(a, -1.0) + nu * psd_pow(b, -1.0)
+        inv_mix = (1.0 - nu) * psd_pow(ea, -1.0) + nu * psd_pow(eb, -1.0)
         return psd_pow(inv_mix, -1.0)
 
     # geometric
-    a_half = psd_pow(a, 0.5)
-    a_negh = psd_pow(a, -0.5)
+    a_half = psd_pow(ea, 0.5)
+    a_negh = psd_pow(ea, -0.5)
     core = psd_pow(a_negh @ b @ a_negh, nu)
     return a_half @ core @ a_half
 
@@ -291,7 +293,8 @@ class SpectrumBounds:
 
 
 def spectrum_bounds(mats) -> SpectrumBounds:
-    """Joint spectral bounds of one or more Hermitian matrices.
+    """Joint spectral bounds of a Hermitian matrix, or of a list of
+    Hermitian matrices or their HermEigens.
 
     Returns the smallest eigenvalue across the family as ``m`` and the
     largest as ``M``; these are the tightest constants with

@@ -1,11 +1,13 @@
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numrad import catalog
 from numrad.catalog import (
     ALL_BOUND_IDS,
     ATOL,
@@ -46,7 +48,8 @@ from numrad.errors import (
     NumradError,
     UnknownBoundIdError,
 )
-from numrad.matrixcore import abs_op
+from numrad.matrixcore import abs_op, polar
+from numrad.meansfuncs import mean
 from numrad.radii import numerical_radius
 from test_acceptance import _ginibre, _lemma_inputs, _poly_in
 
@@ -193,6 +196,18 @@ def test_mean_h_skips_on_singular_pq():
         assert not rep.satisfied
         assert math.isnan(rep.lhs)
         assert "positive definite" in rep.note
+
+
+def test_mean_h_gate_does_not_depend_on_operand_scale():
+    # at scale 1e-6 P and Q have their whole spectrum below 1e-10; the PD
+    # rule is relative, so B06 is decided as at scale 1
+    rng = np.random.default_rng(5)
+    a, b, x = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
+    small = check_mean_h(1e-6 * a, 1e-6 * b, 1e-6 * x)
+    for rep, ref in zip(small, check_mean_h(a, b, x)):
+        assert rep.hypothesis_ok, rep.note
+        assert rep.params["M"] < 1e-10
+        assert rep.status() == ref.status()
 
 
 def test_mean_h_lhs_respects_mean_ordering():
@@ -449,6 +464,13 @@ def test_lemma_l03_is_equality_on_pd():
     assert not check_lemma("L03", a=np.diag([1.0, -2.0])).hypothesis_ok
 
 
+def test_lemma_l03_holds_on_large_operands():
+    # A^-1 = 1e-11 I is positive definite under the relative PD rule
+    rep = check_lemma("L03", a=1e11 * np.eye(2))
+    assert rep.status() == "pass"
+    assert rep.lhs == pytest.approx(1e11, rel=1e-12)
+
+
 def test_lemma_l04_sup_form_agrees():
     rng = np.random.default_rng(53)
     for _ in range(4):
@@ -695,3 +717,53 @@ def test_scaled_inputs_give_finite_reports_or_typed_errors(name, seed, n, t, k):
         sides = ((rep.min_eig_of_difference, rep.scale)
                  if isinstance(rep, LoewnerReport) else (rep.lhs, rep.rhs))
         assert all(math.isfinite(v) for v in sides), (rep, k)
+
+
+# ------------------------------------------------- one factorization per operand
+
+def test_each_operand_is_factorized_once(monkeypatch):
+    """eigh and svd calls per step with the radius stubbed out: one SVD
+    gives |X| and |X*|, one eigh each P and Q, reused by every function of
+    them."""
+    calls = {"eigh": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(catalog, "numerical_radius",
+                        lambda m: SimpleNamespace(value=1.0))
+    rng = np.random.default_rng(21)
+    a, b, y = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
+    x = 2.0 * np.eye(3) + 0.1 * _rand(rng, 3)  # r(X) > 1: B19 skips
+    p, q = _rand_pd(rng, 3), _rand_pd(rng, 3)
+    unit = np.eye(3)[0]
+    steps = {
+        "abs_op": lambda: abs_op(a),
+        "polar": lambda: polar(a),
+        "_mean_pq": lambda: catalog._mean_pq(a, b, x, "sqrt"),
+        "mean harm": lambda: mean(p, q, "harm"),
+        "mean geom": lambda: mean(p, q, "geom"),
+        "check_mean_h arith": lambda: check_mean_h(a, b, y),
+        "check_omega_harmonic": lambda: check_omega_harmonic(a, b, y),
+        "check_alpha": lambda: check_alpha(a, b, x),
+        "_b05": lambda: catalog._b05(a, b, y, 1.0),
+        "L01": lambda: check_lemma("L01", a=a, x=unit, y=unit),
+    }
+    got = {}
+    for label, step in steps.items():
+        calls.update(eigh=0, svd=0)
+        step()
+        got[label] = (calls["eigh"], calls["svd"])
+    assert got == {
+        "abs_op": (0, 1),
+        "polar": (0, 1),
+        "_mean_pq": (0, 1),
+        "mean harm": (3, 0),
+        "mean geom": (3, 0),
+        "check_mean_h arith": (2, 1),
+        "check_omega_harmonic": (5, 1),
+        "check_alpha": (7, 1),
+        "_b05": (2, 1),
+        "L01": (0, 1),
+    }

@@ -15,6 +15,7 @@ from numrad.matrixcore import (
     as_cmatrix,
     general_eigenvalues,
     herm_eigen,
+    moduli,
     op_norm,
     polar,
 )
@@ -123,6 +124,42 @@ def test_polar_jordan_hand_case():
 def test_polar_requires_square():
     with pytest.raises(NotSquareError):
         polar(np.zeros((2, 3)))
+
+
+def test_moduli_factorizes_both_moduli_from_one_svd():
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e_a, e_as, u = moduli(a)
+        assert np.all(np.diff(e_a.eigenvalues) >= 0)
+        assert_allclose(e_a.eigenvalues, e_as.eigenvalues)
+        assert_allclose(e_as.compose(), abs_op(a.conj().T), rtol=0, atol=1e-13)
+        assert_allclose(u @ e_a.compose(), a, atol=1e-12 * (1 + op_norm(a)))
+
+
+def test_moduli_degenerate_and_singular_inputs():
+    e_a, e_as, u = moduli(np.zeros((0, 0)))
+    assert e_a.eigenvalues.size == e_as.eigenvalues.size == u.size == 0
+    e_a, e_as, u = moduli([[-2.0]])
+    assert_allclose(e_a.compose(), [[2.0]])
+    assert_allclose(e_as.compose(), [[2.0]])
+    assert_allclose(u, [[-1.0]])
+    # the Jordan block: |A| = diag(0, 1), |A*| = diag(1, 0), U still unitary
+    e_a, e_as, u = moduli([[0, 1], [0, 0]])
+    assert_allclose(e_a.eigenvalues, [0.0, 1.0])
+    assert_allclose(e_a.compose(), np.diag([0.0, 1.0]), atol=1e-15)
+    assert_allclose(e_as.compose(), np.diag([1.0, 0.0]), atol=1e-15)
+    assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
+    with pytest.raises(NotSquareError):
+        moduli(np.zeros((2, 3)))
+
+
+def test_herm_eigen_returns_a_factorization_unchanged():
+    h = np.array([[2.0, 1.0], [1.0, 3.0]])
+    e = herm_eigen(h)
+    assert herm_eigen(e) is e
+    assert_allclose(apply_fn(e, np.sqrt, (0.0, np.inf)),
+                    apply_fn(h, np.sqrt, (0.0, np.inf)), rtol=0, atol=0)
 
 
 def test_apply_fn_matches_scalar_calculus():
