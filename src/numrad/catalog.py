@@ -81,7 +81,7 @@ __all__ = [
 ATOL = 1e-9
 RTOL = 1e-9
 
-# commutation gate for the B18-B21 family
+# commutation gate for the B18-B21 family and L08
 ALPHA_COMM_TOL = 1e-8
 
 # lemma tolerances: L02's Loewner floor, L04's brute-force sup grid and the
@@ -181,6 +181,15 @@ def _need_weight(nu):
         raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
 
 
+def _commutation(mod, a, y):
+    """(defect, ok) of the commutation hypothesis M Y = Y* M, with M =
+    ``mod`` a modulus of A from `moduli`: the defect is ||M Y - Y* M||,
+    and ok when it is at most ALPHA_COMM_TOL (1 + ||A|| ||Y||)."""
+    m = mod.compose()
+    dev = op_norm(m @ y - y.conj().T @ m)
+    return dev, dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(y))
+
+
 def _pd_gate(p, q, what):
     """(gate, eP, eQ) with P and Q factorized once: the gate is their
     joint spectrum bounds when both are positive definite, else the skip
@@ -239,7 +248,7 @@ def _b05(a, b, x, p) -> BoundReport:
     _need_power(p)
     p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
     rhs = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
-    return _report("B05", _target_omega(a, b, x, None) ** p, rhs, {"p": p})
+    return _report("B05", _target_omega(a, b, x) ** p, rhs, {"p": p})
 
 
 def check_classics(a, b, x, p: float = 1.0):
@@ -268,16 +277,13 @@ def _mean_pq(a, b, x, pair):
     return p_mat, q_mat
 
 
-def _target_omega(a, b, x, unit_x):
-    """w(A*XB), or the single Rayleigh value when a unit vector is given."""
-    prod = adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")
-    if unit_x is None:
-        return numerical_radius(prod).value
-    v = _unit_vec(unit_x, prod.shape[0], "unit_x")
-    return abs(complex(v.conj() @ (prod @ v)))
+def _target_omega(a, b, x):
+    """w(A*XB)."""
+    return numerical_radius(
+        adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")).value
 
 
-def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith", unit_x=None):
+def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     """B06 and B06p, the Kantorovich-weighted mean claims at weight 1/2.
 
     With P = B* f^2(|X|) B and Q = A* g^2(|X*|) A positive definite,
@@ -288,8 +294,7 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith", unit_x=None):
 
     for operator monotone decreasing h and any of the three means.  The
     right side uses w because the claim is quantified over unit vectors
-    and h is decreasing, making the maximizing vector the binding case;
-    pass ``unit_x`` to spot-check a single vector instead.
+    and h is decreasing, making the maximizing vector the binding case.
     """
     hf = _need_kind(h, "decreasing")
     p_mat, q_mat = _mean_pq(a, b, x, pair)
@@ -300,7 +305,7 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith", unit_x=None):
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, ep), eval_fn(hf, eq), sigma, 0.5))
-    w = _target_omega(a, b, x, unit_x)
+    w = _target_omega(a, b, x)
     return (
         _report("B06", lhs, (sb.m * k / sb.M) * hf(w), params),
         _report("B06p", lhs, hf(w), params),
@@ -328,7 +333,7 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, epw), eval_fn(hf, eqw), sigma, nu))
-    w = _target_omega(a, b, x, None)
+    w = _target_omega(a, b, x)
     return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params)
 
 
@@ -348,7 +353,7 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
-    w = _target_omega(a, b, x, None)
+    w = _target_omega(a, b, x)
     c = sb.m * k / sb.M
     r08 = c * op_norm(mean(p_mat, q_mat, "harm", 0.5))
     r09 = 0.5 * c * op_norm(eval_fn(hf, ep) + eval_fn(hf, eq))
@@ -488,9 +493,7 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     f, g = get_pair(pair)
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
     e_a, e_as, _ = moduli(a)
-    abs_as = e_as.compose()
-    dev = op_norm(abs_as @ x - x.conj().T @ abs_as)
-    comm_ok = dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(x))
+    dev, comm_ok = _commutation(e_as, a, x)
     r = spectral_radius(x)
     w = numerical_radius(a.conj().T @ x @ b).value
     f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
@@ -692,10 +695,9 @@ def _l08(a, b, x, y, pair="sqrt") -> BoundReport:
     x = _unit_vec(x, n, "x")
     y = _unit_vec(y, n, "y")
     mods = moduli(a)
-    aa = mods[0].compose()
-    dev = op_norm(aa @ b - b.conj().T @ aa)
+    dev, ok = _commutation(mods[0], a, b)
     params = {"pair": str(pair), "commutation_defect": dev}
-    if dev > ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(b)):
+    if not ok:
         return _skipped("L08", params, f"commutation defect {dev:.3e}")
     lhs = abs(complex(y.conj() @ (a @ b @ x)))
     rhs = spectral_radius(b) * _pair_norms(f, g, mods, x, y)

@@ -40,7 +40,7 @@ from .harness import (
     run_campaign,
 )
 from .matrixcore import abs_op, op_norm, polar
-from .meansfuncs import kantorovich, mean, spectrum_bounds
+from .meansfuncs import mean, spectrum_bounds
 from .radii import numerical_radius, spectral_radius
 
 EXIT_OK = 0
@@ -48,10 +48,6 @@ EXIT_VIOLATED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_HYPOTHESIS = 4
-
-QUANTITIES = ("omega", "specrad", "norm", "abs", "polar", "aluthge",
-              "mean", "kantorovich")
-
 
 class _ParseFailure(Exception):
     pass
@@ -92,6 +88,45 @@ def _print(doc, as_json: bool):
 # ---------------------------------------------------------------------------
 
 
+def _each(fn):
+    """A quantity of one matrix, evaluated on each --in file and keyed
+    "<path>:<quantity>"."""
+    return lambda q, mats, args: {f"{path}:{q}": fn(m, args) for path, m in mats}
+
+
+def _mean_of_two(q, mats, args) -> dict:
+    if len(mats) != 2:
+        raise InvalidSpecError("mean needs exactly two --in files")
+    return {"mean": matrix_to_doc(
+        mean(mats[0][1], mats[1][1], args.sigma, args.nu))}
+
+
+def _omega(m, args):
+    r = numerical_radius(m)
+    return {"value": r.value, "theta": r.theta} if args.json else r.value
+
+
+def _polar(m, args) -> dict:
+    parts = polar(m)
+    return {"unitary": matrix_to_doc(parts.unitary),
+            "positive": matrix_to_doc(parts.positive)}
+
+
+# every `numrad eval` quantity: name -> f(name, [(path, matrix)], args),
+# which returns the output entries
+QUANTITIES = {
+    "omega": _each(_omega),
+    "specrad": _each(lambda m, args: spectral_radius(m)),
+    "norm": _each(lambda m, args: op_norm(m)),
+    "abs": _each(lambda m, args: matrix_to_doc(abs_op(m))),
+    "polar": _each(_polar),
+    "aluthge": _each(
+        lambda m, args: matrix_to_doc(aluthge_transform(m, args.pair))),
+    "mean": _mean_of_two,
+    "kantorovich": _each(lambda m, args: spectrum_bounds([m]).kantorovich),
+}
+
+
 def cmd_eval(args) -> int:
     mats = [(p, load_matrix(p)) for p in args.inputs]
     out = {}
@@ -100,33 +135,7 @@ def cmd_eval(args) -> int:
             raise InvalidSpecError(
                 f"unknown quantity {q!r}; known: {', '.join(QUANTITIES)}"
             )
-        if q == "mean":
-            if len(mats) != 2:
-                raise InvalidSpecError("mean needs exactly two --in files")
-            res = mean(mats[0][1], mats[1][1], args.sigma, args.nu)
-            out["mean"] = matrix_to_doc(res)
-            continue
-        for path, m in mats:
-            key = f"{path}:{q}"
-            if q == "omega":
-                r = numerical_radius(m)
-                out[key] = {"value": r.value, "theta": r.theta} if args.json \
-                    else r.value
-            elif q == "specrad":
-                out[key] = spectral_radius(m)
-            elif q == "norm":
-                out[key] = op_norm(m)
-            elif q == "abs":
-                out[key] = matrix_to_doc(abs_op(m))
-            elif q == "polar":
-                parts = polar(m)
-                out[key] = {"unitary": matrix_to_doc(parts.unitary),
-                            "positive": matrix_to_doc(parts.positive)}
-            elif q == "aluthge":
-                out[key] = matrix_to_doc(aluthge_transform(m, args.pair))
-            elif q == "kantorovich":
-                sb = spectrum_bounds([m])
-                out[key] = kantorovich(sb.m, sb.M)
+        out.update(QUANTITIES[q](q, mats, args))
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:

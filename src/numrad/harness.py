@@ -63,10 +63,7 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 
-ENSEMBLE_KINDS = (
-    "ginibre", "positive-definite", "unitary", "hermitian",
-    "commuting-with-absA*",
-)
+ENSEMBLE_KINDS = ("ginibre", "positive-definite")
 
 U_GRID = (0.25, 0.5, 0.75, 1.0)  # target spectral radii for scaled-X trials
 
@@ -128,17 +125,14 @@ class EnsembleSpec:
     seed: int = 0
 
 
-def generate(spec: EnsembleSpec, companion=None) -> np.ndarray:
-    """Draw one matrix from the ensemble; deterministic per (seed, spec).
+def generate(spec: EnsembleSpec) -> np.ndarray:
+    """Draw one matrix from the ensemble; deterministic per spec.
 
-    Kinds: "ginibre" (i.i.d. standard complex Gaussian entries),
-    "hermitian" ((G+G*)/2 of a ginibre draw), "unitary" (QR of a ginibre
-    draw with phase-fixed diagonal), "positive-definite" (Haar
-    conjugation of a diagonal whose endpoints are exactly
-    spec.spectrum = (m, M), interior uniform in [m, M]; default (1, 4)),
-    and "commuting-with-absA*" (q(|companion*|) for a random real
-    polynomial q of degree < dim, normalized to operator norm <= 1
-    when large).
+    Kinds: "ginibre" (i.i.d. standard complex Gaussian entries) and
+    "positive-definite" (Haar conjugation of a diagonal whose endpoints
+    are exactly spec.spectrum = (m, M), interior uniform in [m, M];
+    default (1, 4)).  Campaigns and sharpness comparisons draw their
+    trials with `_draw`, not here.
     """
     if spec.kind not in ENSEMBLE_KINDS:
         raise InvalidSpecError(
@@ -150,25 +144,15 @@ def generate(spec: EnsembleSpec, companion=None) -> np.ndarray:
     n = spec.dim
     if spec.kind == "ginibre":
         return _ginibre(rng, n)
-    if spec.kind == "hermitian":
-        g = _ginibre(rng, n)
-        return 0.5 * (g + g.conj().T)
-    if spec.kind == "unitary":
-        return _haar_unitary(rng, n)
-    if spec.kind == "positive-definite":
-        m, big_m = spec.spectrum if spec.spectrum is not None else (1.0, 4.0)
-        if not 0.0 < m <= big_m:
-            raise InvalidSpecError(f"need 0 < m <= M, got ({m}, {big_m})")
-        if n == 1:
-            return np.array([[m]], dtype=np.complex128)
-        eigs = np.concatenate([[m, big_m], rng.uniform(m, big_m, n - 2)])
-        u = _haar_unitary(rng, n)
-        p = (u * eigs) @ u.conj().T
-        return 0.5 * (p + p.conj().T)
-    # commuting-with-absA*
-    if companion is None:
-        raise InvalidSpecError("commuting kind needs a companion matrix")
-    return _commuting(rng, companion)
+    m, big_m = spec.spectrum if spec.spectrum is not None else (1.0, 4.0)
+    if not 0.0 < m <= big_m:
+        raise InvalidSpecError(f"need 0 < m <= M, got ({m}, {big_m})")
+    if n == 1:
+        return np.array([[m]], dtype=np.complex128)
+    eigs = np.concatenate([[m, big_m], rng.uniform(m, big_m, n - 2)])
+    u = _haar_unitary(rng, n)
+    p = (u * eigs) @ u.conj().T
+    return 0.5 * (p + p.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +207,17 @@ def _expand_bounds(bounds) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to run: bound IDs, trial count, dimension cycle, seed, grids.
+    """What to run: bound IDs (aliases expanded), trial count, dimension
+    cycle, master seed, and the tolerance (atol, rtol) of the verdicts.
 
-    ``params`` maps a bound ID to overrides of its family's grids, a
-    subset of {"p": ..., "nu": ..., "pair": ..., "h": ..., "sigma": ...};
-    values may be scalars or nonempty lists (cycled by trial index).  An
-    override on any ID in a family applies to the family's shared
-    evaluation.
+    Each family's parameters come from its grids in ``catalog.FAMILIES``,
+    cycled by trial index.
     """
 
     bounds: tuple = ALL_BOUND_IDS
     trials: int = 200
     dims: tuple = (2, 3, 4, 5)
     seed: int = 42
-    params: dict = field(default_factory=dict)
     atol: float = ATOL
     rtol: float = RTOL
 
@@ -247,64 +228,47 @@ class CampaignConfig:
             raise InvalidSpecError("trials must be >= 1")
         if not self.dims or any(not 1 <= d <= 16 for d in self.dims):
             raise InvalidSpecError("dims must be a nonempty list within 1..16")
-        for bid, override in self.params.items():
-            grids = family_of(bid).grids
-            for key, v in override.items():
-                if key not in grids:
-                    raise InvalidSpecError(
-                        f"{bid} has no parameter {key!r}; its family takes "
-                        f"{', '.join(grids) or 'none'}")
-                if isinstance(v, (list, tuple)) and not v:
-                    raise InvalidSpecError(f"{bid} {key}: empty list")
 
 
-def _fam_param(cfg: CampaignConfig, family, key, t):
-    """Trial t's value of ``key``: the first override on any of the
-    family's IDs, else the family's grid, lists cycled by trial index."""
-    v = family.grids[key]
-    for bid in family.ids:
-        override = cfg.params.get(bid, {})
-        if key in override:
-            v = override[key]
-            break
-    if isinstance(v, (list, tuple)):
-        v = v[t % len(v)]
-    return float(v) if key in ("p", "nu") else v
+def _draw(cfg: CampaignConfig, operands, salt: int, t: int, commuting: bool):
+    """Trial t's inputs, the one sampler behind campaigns, info rows and
+    sharpness comparisons.
+
+    The trial runs at dims[t % len(dims)] from seed mix_seed(cfg.seed,
+    salt, t): one Ginibre matrix per name in ``operands``, in that order.
+    With ``commuting``, X is instead a polynomial in |A*|, rescaled on odd
+    trials to a spectral radius from U_GRID so the r(X) <= 1 branches get
+    exercised.  Returns (dim, seed, operand name -> matrix).
+    """
+    dim = cfg.dims[t % len(cfg.dims)]
+    seed = mix_seed(cfg.seed, salt, t)
+    rng = _rng(seed)
+    mats = {}
+    for name in operands:
+        if name == "x" and commuting:
+            x = _commuting(rng, mats["a"])
+            if t % 2 == 1:
+                r = spectral_radius(x)
+                if r > 0:
+                    x = x * (U_GRID[(t // 2) % len(U_GRID)] / r)
+            mats["x"] = x
+        else:
+            mats[name] = _ginibre(rng, dim)
+    return dim, seed, mats
 
 
 def _trials(cfg, family, salt: str, commuting: bool):
     """Draw each trial's inputs for ``family`` and evaluate the family once.
 
-    Trial t runs at dims[t % len(dims)] from seed mix_seed(cfg.seed,
-    crc32(salt), t).  One Ginibre matrix per operand, in a, b, x order.
-    With ``commuting``, X is instead a polynomial in |A*|, rescaled on odd
-    trials to a spectral radius from U_GRID so the r(X) <= 1 branches get
-    exercised.  Yields (t, dim, seed, reports in ``family.ids`` order,
-    operand name -> matrix).
+    Trial t's inputs come from `_draw` with salt crc32(``salt``), and each
+    of the family's grids is cycled by t.  Yields (t, dim, seed, reports
+    in ``family.ids`` order, operand name -> matrix).
     """
     salt_int = zlib.crc32(salt.encode())
     for t in range(cfg.trials):
-        dim = cfg.dims[t % len(cfg.dims)]
-        seed = mix_seed(cfg.seed, salt_int, t)
-        rng = _rng(seed)
-        mats = {}
-        for name in family.operands:
-            if name == "x" and commuting:
-                x = _commuting(rng, mats["a"])
-                if t % 2 == 1:
-                    r = spectral_radius(x)
-                    if r > 0:
-                        x = x * (U_GRID[(t // 2) % len(U_GRID)] / r)
-                mats["x"] = x
-            else:
-                mats[name] = _ginibre(rng, dim)
-        params = {key: _fam_param(cfg, family, key, t) for key in family.grids}
+        dim, seed, mats = _draw(cfg, family.operands, salt_int, t, commuting)
+        params = {key: grid[t % len(grid)] for key, grid in family.grids.items()}
         yield t, dim, seed, evaluate_family(family, mats, **params), mats
-
-
-# params worth persisting in a failure record: exactly the kwargs
-# evaluate_bound accepts, so records replay standalone
-_REPLAY_KEYS = ("p", "nu", "pair", "h", "sigma")
 
 
 def _fmt(v) -> str:
@@ -405,7 +369,6 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
         "trials": cfg.trials,
         "dims": list(cfg.dims),
         "seed": cfg.seed,
-        "params": {k: dict(v) for k, v in cfg.params.items()},
         "atol": cfg.atol,
         "rtol": cfg.rtol,
     })
@@ -428,7 +391,7 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
                         "lhs": rep.lhs,
                         "rhs": rep.rhs,
                         "slack": rep.slack,
-                        "params": {k: rep.params[k] for k in _REPLAY_KEYS
+                        "params": {k: rep.params[k] for k in family.grids
                                    if k in rep.params},
                         "inputs": {
                             name.upper(): matrix_to_doc(inputs[name])
@@ -451,13 +414,14 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
 def replay_failure(record: dict):
     """Re-evaluate a campaign failure record standalone.
 
-    Returns the fresh BoundReport; determinism demands its slack equal
-    the recorded one bit-for-bit.
+    The record's params are read for the keys of its family's grids,
+    the ones a campaign varies.  Returns the fresh BoundReport;
+    determinism demands its slack equal the recorded one bit-for-bit.
     """
     kwargs = {name.lower(): doc_to_matrix(doc)
               for name, doc in record["inputs"].items()}
-    params = {k: v for k, v in record.get("params", {}).items()
-              if k in _REPLAY_KEYS}
+    grids = family_of(record["bound_id"]).grids
+    params = {k: v for k, v in record.get("params", {}).items() if k in grids}
     return evaluate_bound(record["bound_id"], **kwargs, **params)
 
 
@@ -554,55 +518,40 @@ class SharpnessReport:
 
 def sharpness_compare(bound_a: str, bound_b: str,
                       cfg: CampaignConfig | None = None,
-                      inputs=None, params_a=None, params_b=None) -> SharpnessReport:
+                      inputs=None) -> SharpnessReport:
     """Which bound's right side is tighter on a shared ensemble?
 
-    Both bounds must consume the same operands.  Each trial draws one
-    shared input tuple (the commuting-X ensemble when either bound's
-    family needs it, as B18-B21 do), evaluates both right sides, and
-    counts wins; gap = rhs_b - rhs_a, so positive mean gap means
-    bound_a is the tighter one.  Pass ``inputs`` (a tuple of matrices
-    matching the operand list) to compare on fixed inputs instead.
+    Both bounds must consume the same operands.  Trial t shares one input
+    tuple between them, drawn by `_draw` (the campaigns' sampler) with
+    salt crc32("sharpness:<bound_a>:<bound_b>"); X is the commuting-X draw
+    when either bound's family needs it, as B18-B21 do.  Each bound is
+    evaluated at its default parameters and wins are counted on the right
+    sides; gap = rhs_b - rhs_a, so positive mean gap means bound_a is the
+    tighter one.  Pass ``inputs`` (a tuple of matrices matching the
+    operand list) to compare on fixed inputs instead.
     """
     compatible_signatures(bound_a, bound_b)
-    params_a = dict(params_a or {})
-    params_b = dict(params_b or {})
     operands = required_operands(bound_a)
-
-    def one(mats) -> tuple:
-        kwargs = dict(zip(operands, mats))
-        ra = evaluate_bound(bound_a, **kwargs, **params_a)
-        rb = evaluate_bound(bound_b, **kwargs, **params_b)
-        return ra, rb
-
-    use_commuting = (family_of(bound_a).commuting_x
-                     or family_of(bound_b).commuting_x)
-
-    draws = []
     if inputs is not None:
         if len(inputs) != len(operands):
             raise InvalidSpecError(
                 f"{bound_a} takes {len(operands)} input(s) "
                 f"({', '.join(operands)}), got {len(inputs)}")
-        draws.append(tuple(inputs))
-        trials = 1
+        draws = [dict(zip(operands, inputs))]
     else:
         cfg = cfg or CampaignConfig()
-        trials = cfg.trials
         salt = zlib.crc32(f"sharpness:{bound_a}:{bound_b}".encode())
-        for t in range(trials):
-            dim = cfg.dims[t % len(cfg.dims)]
-            rng = _rng(mix_seed(cfg.seed, salt, t))
-            mats = [_ginibre(rng, dim) for _ in operands]
-            if use_commuting and "x" in operands:
-                mats[operands.index("x")] = _commuting(rng, mats[0])
-            draws.append(tuple(mats))
+        commuting = (family_of(bound_a).commuting_x
+                     or family_of(bound_b).commuting_x)
+        draws = [_draw(cfg, operands, salt, t, commuting)[2]
+                 for t in range(cfg.trials)]
 
     skipped = wins_a = wins_b = ties = 0
     gaps = []
     pairs = []
     for mats in draws:
-        ra, rb = one(mats)
+        ra = evaluate_bound(bound_a, **mats)
+        rb = evaluate_bound(bound_b, **mats)
         if not (ra.hypothesis_ok and rb.hypothesis_ok):
             skipped += 1
             continue
@@ -617,5 +566,5 @@ def sharpness_compare(bound_a: str, bound_b: str,
         else:
             ties += 1
     mean_gap = float(sum(gaps) / len(gaps)) if gaps else float("nan")
-    return SharpnessReport(bound_a, bound_b, trials, skipped,
+    return SharpnessReport(bound_a, bound_b, len(draws), skipped,
                            wins_a, wins_b, ties, mean_gap, tuple(pairs))

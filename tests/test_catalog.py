@@ -221,23 +221,6 @@ def test_mean_h_lhs_respects_mean_ordering():
         assert by_sigma["geom"].lhs <= by_sigma["arith"].lhs + 1e-9
 
 
-def test_mean_h_unit_vector_mode():
-    rng = np.random.default_rng(9)
-    a, b, x = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    spot = check_mean_h(a, b, x, unit_x=v)[1]
-    full = check_mean_h(a, b, x)[1]
-    if spot.hypothesis_ok:
-        # |<A*XB v, v>| <= w(A*XB) and h is decreasing, so the spot rhs
-        # can only be larger
-        assert spot.rhs >= full.rhs - 1e-12
-    with pytest.raises(InvalidSpecError):
-        check_mean_h(a, b, x, unit_x=2.0 * v)
-    with pytest.raises(InvalidSpecError):
-        check_mean_h(a, b, x, unit_x=np.ones(4) / 2.0)
-
-
 def test_mean_h_rejects_increasing_h():
     with pytest.raises(InvalidSpecError):
         check_mean_h(I2, I2, I2, h="pow:2")
@@ -548,9 +531,14 @@ def test_lemma_dispatch_validation():
         check_lemma("L01", a=I2, x=e1)
     with pytest.raises(InvalidSpecError, match=r"operand\(s\) B, A2, B2$"):
         check_lemma("L06", a1=I2)
-    # a vector operand must be a vector, not a matrix of the same size
+    # a vector operand must be a unit vector of A's size, not a matrix
+    # of the same size, a longer vector or a vector of another norm
     with pytest.raises(InvalidSpecError):
         check_lemma("L01", a=np.eye(4), x=np.diag([1.0, 0.0]), y=np.eye(4)[0])
+    with pytest.raises(InvalidSpecError, match="vector of length 2"):
+        check_lemma("L01", a=I2, x=np.ones(4) / 2.0, y=e1)
+    with pytest.raises(InvalidSpecError, match="unit vector"):
+        check_lemma("L01", a=I2, x=2.0 * e1, y=e1)
     assert check_lemma("L01", a=I2, x=e1[:, None], y=e1[None, :]).satisfied
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from numpy.testing import assert_allclose
 from numrad.errors import (
     IncompatibleBoundsError,
     InvalidSpecError,
-    UnknownBoundIdError,
 )
+from numrad.catalog import check_block, evaluate_bound, family_of
 from numrad.harness import (
+    U_GRID,
     CampaignConfig,
     EnsembleSpec,
     doc_to_matrix,
@@ -20,9 +22,11 @@ from numrad.harness import (
     reference_examples,
     replay_failure,
     run_campaign,
+    _draw,
     sharpness_compare,
 )
 from numrad.matrixcore import abs_op, op_norm
+from numrad.radii import spectral_radius
 
 EX2_A = np.array([[1, 2], [3, 0]], dtype=complex)
 EX2_B = np.array([[3, 4], [1, 5]], dtype=complex)
@@ -36,16 +40,6 @@ def test_generate_is_deterministic_per_spec():
     assert_allclose(generate(spec), generate(spec))
     other = EnsembleSpec("ginibre", 4, seed=124)
     assert not np.allclose(generate(spec), generate(other))
-
-
-def test_generate_hermitian():
-    m = generate(EnsembleSpec("hermitian", 5, seed=7))
-    assert np.linalg.norm(m - m.conj().T) < 1e-14
-
-
-def test_generate_unitary():
-    u = generate(EnsembleSpec("unitary", 5, seed=7))
-    assert op_norm(u.conj().T @ u - np.eye(5)) < 1e-10
 
 
 def test_generate_positive_definite_pins_endpoints():
@@ -67,20 +61,32 @@ def test_generate_positive_definite_pins_endpoints():
 
 
 def test_generate_commuting_ensemble():
-    rng_seed = 31
-    a = generate(EnsembleSpec("ginibre", 4, seed=rng_seed))
-    x = generate(EnsembleSpec("commuting-with-absA*", 4, seed=rng_seed + 1),
-                 companion=a)
-    aa = abs_op(a.conj().T)
-    assert op_norm(aa @ x - x.conj().T @ aa) < 1e-10
-    assert op_norm(x) <= 1.0 + 1e-12
-    with pytest.raises(InvalidSpecError):
-        generate(EnsembleSpec("commuting-with-absA*", 4, seed=0))
+    # the campaigns' commuting draw: X commutes with |A*| on every trial;
+    # even trials are clipped to norm <= 1, odd ones rescaled to a U_GRID
+    # spectral radius
+    cfg = CampaignConfig(trials=8, dims=(3, 4), seed=31)
+    for t in range(cfg.trials):
+        dim, seed, mats = _draw(cfg, ("a", "b", "x"), 7, t, commuting=True)
+        a, x = mats["a"], mats["x"]
+        assert a.shape == mats["b"].shape == x.shape == (dim, dim)
+        assert seed == mix_seed(31, 7, t)
+        aa = abs_op(a.conj().T)
+        assert op_norm(aa @ x - x.conj().T @ aa) < 1e-10 * (1 + op_norm(aa))
+        if t % 2 == 0:
+            assert op_norm(x) <= 1.0 + 1e-12
+        else:
+            assert spectral_radius(x) == pytest.approx(
+                U_GRID[(t // 2) % len(U_GRID)], rel=1e-12)
+        # without the hypothesis, X is a Ginibre draw from the same seed
+        plain = _draw(cfg, ("a", "b", "x"), 7, t, commuting=False)[2]
+        assert np.array_equal(plain["a"], a)
+        assert not np.allclose(plain["x"] @ aa, aa @ plain["x"].conj().T)
 
 
 def test_generate_validation():
-    with pytest.raises(InvalidSpecError):
-        generate(EnsembleSpec("cauchy", 3, seed=0))
+    for kind in ("cauchy", "hermitian", "unitary", "commuting-with-absA*"):
+        with pytest.raises(InvalidSpecError):
+            generate(EnsembleSpec(kind, 3, seed=0))
     with pytest.raises(InvalidSpecError):
         generate(EnsembleSpec("ginibre", 0, seed=0))
     with pytest.raises(InvalidSpecError):
@@ -161,23 +167,6 @@ def test_campaign_config_validation():
         CampaignConfig(dims=(0, 3))
 
 
-def test_campaign_params_reject_unknown_bound():
-    with pytest.raises(UnknownBoundIdError):
-        CampaignConfig(params={"B99": {"p": 2.0}})
-
-
-def test_campaign_params_reject_key_outside_family_grids():
-    with pytest.raises(InvalidSpecError):
-        CampaignConfig(params={"B03": {"P": 2.0}})
-    with pytest.raises(InvalidSpecError):
-        CampaignConfig(params={"B14": {"p": 2.0}})  # B14 takes no parameter
-
-
-def test_campaign_params_reject_empty_list():
-    with pytest.raises(InvalidSpecError):
-        CampaignConfig(params={"B03": {"p": []}})
-
-
 def test_campaign_counts_add_up():
     cfg = CampaignConfig(bounds=("B01", "B14"), trials=6, dims=(2, 3), seed=5)
     rep = run_campaign(cfg)
@@ -237,23 +226,18 @@ def test_campaign_records_replayable_failures():
     rec = rep.failures[0]
     assert set(rec) == {"bound_id", "trial", "dim", "seed", "lhs", "rhs",
                         "slack", "params", "inputs"}
+    # the record keeps exactly the parameters its family's grids vary
+    assert set(rec["params"]) == set(family_of(rec["bound_id"]).grids)
     fresh = replay_failure(rec)
     assert fresh.slack == rec["slack"]  # bit-for-bit
     assert fresh.lhs == rec["lhs"]
     # records survive a JSON round-trip
     rec2 = json.loads(json.dumps(rec))
     assert replay_failure(rec2).slack == rec["slack"]
-
-
-def test_campaign_param_overrides_and_grids():
-    cfg = CampaignConfig(bounds=("B03",), trials=3, seed=7,
-                         params={"B03": {"p": 2.0}})
-    rep = run_campaign(cfg)
-    assert all(r["status"] == "pass" for r in rep.rows)
-    cycled = CampaignConfig(bounds=("B03",), trials=4, seed=7,
-                            params={"B03": {"p": [1.0, 3.0]}})
-    rep = run_campaign(cycled)
-    assert len(rep.rows) == 4
+    # a key outside the family's grids (older B06 records kept "nu") is
+    # not passed on
+    rec3 = {**rec2, "params": {**rec2["params"], "nu": 0.25}}
+    assert replay_failure(rec3).slack == rec["slack"]
 
 
 def test_campaign_skip_rows_for_b19():
@@ -346,6 +330,21 @@ def test_sharpness_alpha_family_uses_commuting_draws():
                             cfg=CampaignConfig(trials=6, seed=8))
     # commuting draws keep the hypothesis, so nothing is skipped
     assert rep.skipped == 0
+
+
+def test_campaigns_and_sharpness_share_one_sampler():
+    cfg = CampaignConfig(bounds=("B14",), trials=4, dims=(2, 3), seed=6)
+    rows = run_campaign(cfg).rows
+    rep = sharpness_compare("B14", "B05", cfg)
+    salt = zlib.crc32(b"sharpness:B14:B05")
+    for t in range(cfg.trials):
+        dim, seed, mats = _draw(cfg, ("a", "b", "x"), zlib.crc32(b"block"),
+                                t, commuting=False)
+        assert (rows[t]["dim"], rows[t]["seed"]) == (dim, seed)
+        assert rows[t]["lhs"] == check_block(**mats).lhs
+        mats = _draw(cfg, ("a", "b", "x"), salt, t, commuting=False)[2]
+        assert rep.pairs[t] == (evaluate_bound("B14", **mats).rhs,
+                                evaluate_bound("B05", **mats).rhs)
 
 
 def test_sharpness_rejects_wrong_input_count():
