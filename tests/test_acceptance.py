@@ -28,7 +28,13 @@ import zlib
 
 import numpy as np
 
-from numrad.catalog import ALL_BOUND_IDS, LEMMA_IDS, check_lemma, evaluate_bound
+from numrad.catalog import (
+    ALL_BOUND_IDS,
+    L04_TOL,
+    LEMMA_IDS,
+    check_lemma,
+    evaluate_bound,
+)
 from numrad.cli import main
 from numrad.harness import (
     H_DEC_GRID,
@@ -266,6 +272,7 @@ def test_criterion_4_lemma_suite(scoreboard):
     failures = []
     skipped = 0
     l02_min = float("inf")
+    l04_worst = 0.0
     t0 = time.perf_counter()
     for lid in LEMMA_IDS:
         salt = zlib.crc32(f"lemma:{lid}".encode())
@@ -277,6 +284,8 @@ def test_criterion_4_lemma_suite(scoreboard):
                 continue
             if lid == "L02":
                 l02_min = min(l02_min, rep.min_eig_of_difference)
+            if lid == "L04":
+                l04_worst = max(l04_worst, rep.lhs / rep.params["upper"])
             if not rep.satisfied:
                 failures.append((lid, t))
     dt = time.perf_counter() - t0
@@ -285,7 +294,8 @@ def test_criterion_4_lemma_suite(scoreboard):
         scoreboard, 4, ok,
         f"failures={len(failures)} over {len(LEMMA_IDS)} lemmas x {trials} "
         f"trials (skipped={skipped}), L02 min-eig={l02_min:.2e} "
-        f"(floor -1e-8), "
+        f"(floor -1e-8), L04 worst |w-sup|/upper={l04_worst:.2e} "
+        f"(tol {L04_TOL:g}), "
         f"runtime={dt:.1f}s",
     )
     assert ok, line

@@ -16,6 +16,8 @@ from numrad.catalog import (
     H_DEC_GRID,
     H_INC_GRID,
     L02_ATOL,
+    L04_GRID,
+    L04_TOL,
     LEMMA_IDS,
     LEMMAS,
     NU_GRID,
@@ -50,8 +52,9 @@ from numrad.errors import (
 )
 from numrad.matrixcore import abs_op, polar
 from numrad.meansfuncs import mean
-from numrad.radii import numerical_radius
+from numrad.radii import RadiusResult, numerical_radius
 from test_acceptance import _ginibre, _lemma_inputs, _poly_in
+from test_radii import _missed_peak
 
 I2 = np.eye(2, dtype=complex)
 JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -458,10 +461,58 @@ def test_lemma_l04_sup_form_agrees():
     rng = np.random.default_rng(53)
     for _ in range(4):
         rep = check_lemma("L04", a=_rand(rng, int(rng.integers(2, 5))))
-        assert rep.satisfied  # |w - sup-form| <= 1e-5
+        assert rep.satisfied  # |w - sup-form| <= 1e-10 * upper
     # jordan: sup form equals 1/2 as well
     rep = check_lemma("L04", a=JORDAN)
-    assert rep.params["sup_form"] == pytest.approx(0.5, abs=1e-6)
+    assert rep.params["sup_form"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_lemma_l04_finds_the_missed_peak():
+    # the peak of the last entry lies between the coarse angles, behind
+    # three others of height 1; each coarse peak is polished
+    a = _missed_peak(2e-6)
+    rep = check_lemma("L04", a=a)
+    assert rep.status() == "pass"
+    assert rep.params["sup_form"] == pytest.approx(
+        numerical_radius(a).value, rel=1e-12)
+
+
+def test_lemma_l04_is_scale_invariant():
+    # the tolerance is relative to the upper bound of w(A), so scaling A
+    # moves no verdict
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        a = _rand(rng, int(rng.integers(2, 6)))
+        for scale in (1e3, 1e-3):
+            rep = check_lemma("L04", a=scale * a)
+            assert rep.status() == "pass"
+            assert rep.lhs <= rep.rhs  # without the absolute floor ATOL
+
+
+def test_lemma_l04_sup_form_above_upper_bound_fails(monkeypatch):
+    # an understated w within L04_TOL of the sup form still fails when the
+    # sup form exceeds its certified upper bound
+    a = 1e3 * _rand(np.random.default_rng(67), 3)
+    r = numerical_radius(a)
+    low = r.value * (1.0 - 1e-11)
+    monkeypatch.setattr(catalog, "numerical_radius",
+                        lambda m: RadiusResult(low, r.theta, r.witness, 0,
+                                               low * (1.0 + 1e-12)))
+    rep = check_lemma("L04", a=a)
+    assert rep.lhs <= L04_TOL * r.upper
+    assert rep.rhs == 0.0
+    assert rep.status() == "fail"
+
+
+def test_lemma_l04_evaluation_count_is_bounded():
+    # the coarse argmax and every strict coarse peak are polished, so a
+    # flat profile (A = 0) polishes one bracket
+    rng = np.random.default_rng(71)
+    mats = [_rand(rng, int(rng.integers(2, 6))) for _ in range(40)]
+    for a in mats + [np.zeros((3, 3))]:
+        assert check_lemma("L04", a=a).params["evaluations"] <= 300
+    # one polished bracket costs fewer evaluations than the scan
+    assert check_lemma("L04", a=np.zeros((3, 3))).params["evaluations"] < 2 * L04_GRID
 
 
 def test_lemma_l05_block_diag():

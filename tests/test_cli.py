@@ -249,6 +249,16 @@ def test_check_every_lemma_matches_check_lemma(capsys, tmp_path, lid):
         assert (doc["lhs"], doc["rhs"]) == (rep.lhs, rep.rhs)
 
 
+def test_check_l04_on_empty_matrix(capsys, tmp_path):
+    # a 0x0 operand has w = 0 and sup form 0, as L05 and B01 report
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    assert main(["check", "--bound", "L04", "--A", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["satisfied"]
+    assert doc["params"]["sup_form"] == 0.0
+
+
 def test_check_non_finite_function_value_exits_precondition(tmp_path):
     # expm1 overflows on the spectrum of P = Q = [900]
     a = _write(tmp_path, "a.json", [[30.0]])
