@@ -85,13 +85,17 @@ RTOL = 1e-9
 ALPHA_COMM_TOL = 1e-8
 
 # lemma tolerances: L02's Loewner floor; L04's coarse angles, the width to
-# which golden section polishes each coarse peak (the value error is then
-# quadratic in it, below rounding) and the agreement with w(A) that this
-# reaches, relative to the certified upper bound; L05's agreement of two
-# radius computations
+# which golden section polishes each peak (the value error is then
+# quadratic in it, below rounding), the level gamma = s* (1 + _L04_LEVEL)
+# of its certificate, the |Im theta| up to which a level-set root counts
+# as real, and the agreement with w(A) that this reaches, relative to the
+# certified upper bound (the uniform rule's ATOL + RTOL * rhs still
+# applies on top); L05's agreement of two radius computations
 L02_ATOL = 1e-8
 L04_GRID = 64
 _L04_WIDTH = 1e-9
+_L04_LEVEL = 1e-12
+_L04_NEAR_REAL = 1e-6
 L04_TOL = 1e-10
 L05_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor
@@ -622,21 +626,78 @@ def _l03(a, h="inv") -> BoundReport:
     return _report("L03", lhs, rhs, {"h": hf.name})
 
 
-def _sup_form(a) -> tuple[float, int]:
-    """sup over theta of ||A + e^{i theta} A*|| / 2, and the number of
-    sigma_max evaluations it took.
+def _golden(smax, lo, hi) -> tuple[np.ndarray, int]:
+    """Golden-section maximization of smax on each bracket [lo_i, hi_i],
+    all brackets together (one batched call per step), until each is at
+    most _L04_WIDTH wide: the best value seen in each bracket, and the
+    number of smax evaluations."""
+    # mid is the best point of each bracket, at its golden section; the
+    # next probe is its mirror image, and the worse of the two bounds
+    # the new bracket
+    mid = lo + _INVPHI * (hi - lo)
+    fmid = smax(mid)
+    iters = max(0, math.ceil(math.log(_L04_WIDTH / np.max(hi - lo))
+                             / math.log(_INVPHI)))
+    for _ in range(iters):
+        probe = lo + hi - mid
+        fprobe = smax(probe)
+        inner_lo, inner_hi = np.minimum(probe, mid), np.maximum(probe, mid)
+        mid = np.where(fprobe > fmid, probe, mid)
+        fmid = np.maximum(fprobe, fmid)
+        left = mid == inner_lo
+        lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
+    return fmid, mid.size * (1 + iters)
 
-    A scan of L04_GRID equispaced angles (one batched SVD) finds the
-    coarse peaks: the argmax and every strict local maximum, so a flat
-    profile has one.  Golden section then polishes sigma_max over
-    [theta_i - h, theta_i + h] around each (h the grid step), all
-    brackets together, one batched SVD per step, until they are
-    _L04_WIDTH wide.  Every peak is polished, since a narrow one that the
-    scan undersamples can still hold the sup.  Each sigma_max / 2 is at
-    most w(A), so the largest value seen is returned.
+
+def _sup_level_set(a, adj, phi, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs between consecutive angles theta at which gamma is a
+    singular value of B = A + e^{i theta} A*, as (starts, ends).
+
+    gamma is a singular value of B iff [[-gamma I, B], [B*, -gamma I]] is
+    singular; multiplying its second block row by z = e^{i theta} gives
+    the linear pencil L0 + z L1, L0 = [[-gamma I, A], [A, 0]],
+    L1 = [[0, A*], [A*, -gamma I]].  The Cayley map
+    z = e^{i phi} (1 + i tau) / (1 - i tau) sends real tau to the circle,
+    and c = 1/tau is an eigenvalue of -i M^{-1} N, M = L0 + e^{i phi} L1,
+    N = e^{i phi} L1 - L0; theta = phi + pi - 2 arctan(c).  M is the
+    pencil at phi, well conditioned where sigma_max(phi) is least.
+    Along each arc the number of singular values above gamma is
+    constant.
+    """
+    n = a.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    l0 = np.block([[-gamma * eye, a], [a, zero]])
+    l1 = np.block([[zero, adj], [adj, -gamma * eye]])
+    rot = np.exp(1j * phi)
+    c = np.linalg.eigvals(-1j * np.linalg.solve(l0 + rot * l1, rot * l1 - l0))
+    # |Im theta| = artanh(2 |Im c| / (1 + |c|^2))
+    real = 2.0 * np.abs(c.imag) <= np.tanh(_L04_NEAR_REAL) * (1.0 + np.abs(c) ** 2)
+    cross = np.sort((phi + np.pi - 2.0 * np.arctan(c[real].real)) % (2.0 * np.pi))
+    return cross, np.append(cross[1:], cross[:1] + 2.0 * np.pi)
+
+
+def _sup_form(a) -> tuple[float, float, int]:
+    """sup over theta of ||A + e^{i theta} A*|| / 2, a certified upper
+    bound of it, and the number of sigma_max evaluations it took.
+
+    1. scan: L04_GRID equispaced angles in one batched SVD; the coarse
+       peaks are the argmax and every strict local maximum, so a flat
+       profile has one;
+    2. polish: golden section on sigma_max over [theta_i - h, theta_i + h]
+       around each coarse peak (h the grid step), all brackets together,
+       until they are _L04_WIDTH wide (`_golden`);
+    3. certificate: with gamma = s* (1 + _L04_LEVEL), s* the largest
+       sigma_max seen, the arcs between the angles at which gamma is a
+       singular value come from one eigenproblem (`_sup_level_set`, phi
+       at the coarse minimum).  If sigma_max exceeds gamma at none of
+       their midpoints, s* / 2 <= sup <= gamma / 2; otherwise each arc
+       where it does is polished and the test repeated.  Each repeat
+       raises s* above the previous gamma, so two peaks that share one
+       coarse bracket, where golden section may keep the lower, are
+       both found.
     """
     if not a.size:
-        return 0.0, 0
+        return 0.0, 0.0, 0
     adj = a.conj().T
 
     def smax(thetas):
@@ -648,45 +709,47 @@ def _sup_form(a) -> tuple[float, int]:
     scan = smax(grid)
     peak = (scan > np.roll(scan, 1)) & (scan > np.roll(scan, -1))
     peak[np.argmax(scan)] = True
-    lo, hi = grid[peak] - step, grid[peak] + step
-    # mid is the best point of each bracket, at its golden section; the
-    # next probe is its mirror image, and the worse of the two bounds
-    # the new bracket
-    mid = lo + _INVPHI * (hi - lo)
-    fmid = smax(mid)
-    iters = math.ceil(math.log(_L04_WIDTH / (2.0 * step)) / math.log(_INVPHI))
-    for _ in range(iters):
-        probe = lo + hi - mid
-        fprobe = smax(probe)
-        inner_lo, inner_hi = np.minimum(probe, mid), np.maximum(probe, mid)
-        mid = np.where(fprobe > fmid, probe, mid)
-        fmid = np.maximum(fprobe, fmid)
-        left = mid == inner_lo
-        lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
-    sup = 0.5 * float(max(scan.max(), fmid.max()))
-    return sup, L04_GRID + mid.size * (1 + iters)
+    polished, evals = _golden(smax, grid[peak] - step, grid[peak] + step)
+    best = float(max(scan.max(), polished.max()))
+    evals += L04_GRID
+    if not best:  # sigma_max vanishes at two angles only when A = 0
+        return 0.0, 0.0, evals
+    phi = float(grid[np.argmin(scan)])
+    while True:
+        gamma = best * (1.0 + _L04_LEVEL)
+        lo, hi = _sup_level_set(a, adj, phi, gamma)
+        fmid = smax(0.5 * (lo + hi))
+        evals += lo.size
+        above = fmid > gamma
+        if not above.any():
+            break
+        polished, more = _golden(smax, lo[above], hi[above])
+        best = float(max(fmid.max(), polished.max()))
+        evals += more
+    return 0.5 * best, 0.5 * gamma, evals
 
 
 def _l04(a) -> BoundReport:
     """w(A) equals sup over theta of ||A + e^{i theta} A*|| / 2
     (T. Yamazaki, Studia Math. 178, 2007).
 
-    The sup form comes from `_sup_form`: a coarse scan and a
-    golden-section polish on singular values, sharing no code with
-    `numerical_radius`, so that each checks the other.  Both sides of
-    the radius are checked: the sup form may not exceed the certified
-    upper bound of w(A), and |w - sup| (lhs) must be within
-    L04_TOL * upper (rhs); a sup form above the upper bound leaves no
-    room, rhs = 0.  ``params["evaluations"]`` counts the sigma_max
-    evaluations.
+    The sup form comes from `_sup_form`: a coarse scan, a golden-section
+    polish and a level-set certificate on singular values, sharing no
+    code with `numerical_radius`, so that each checks the other.  Both
+    certify an interval, [w, upper] and [sup, sup_upper]; the two must
+    meet, and |w - sup| (lhs) must be within L04_TOL * upper (rhs).
+    Intervals that do not meet leave no room, rhs = 0.  The verdict is
+    the uniform rule, lhs <= rhs + ATOL + RTOL * rhs, so below
+    ||A|| ~ 10 its absolute floor ATOL, not L04_TOL * upper, sets the
+    limit.  ``params["evaluations"]`` counts the sigma_max evaluations.
     """
     a = as_cmatrix(a, "A")
     r = numerical_radius(a)
-    sup, evals = _sup_form(a)
-    room = L04_TOL * r.upper if sup <= r.upper else 0.0
-    return _report("L04", abs(r.value - sup), room,
-                   {"grid": L04_GRID, "sup_form": sup, "upper": r.upper,
-                    "evaluations": evals})
+    sup, sup_upper, evals = _sup_form(a)
+    meet = sup <= r.upper and r.value <= sup_upper
+    return _report("L04", abs(r.value - sup), L04_TOL * r.upper if meet else 0.0,
+                   {"grid": L04_GRID, "sup_form": sup, "sup_upper": sup_upper,
+                    "upper": r.upper, "evaluations": evals})
 
 
 def _l05(a, b) -> BoundReport:

@@ -477,6 +477,28 @@ def test_lemma_l04_finds_the_missed_peak():
         numerical_radius(a).value, rel=1e-12)
 
 
+def test_lemma_l04_passes_the_missed_peak_family():
+    # the random-offset family of the radius test: two peaks closer than
+    # the coarse step share one bracket, golden section may keep the lower
+    # one, and the certificate finds the other
+    rng = np.random.default_rng(47)
+    for _ in range(400):
+        eps = 10.0 ** rng.uniform(-9.0, -5.0)
+        offsets = rng.uniform(0.0, 1440.0, 3)
+        rep = check_lemma("L04", a=_missed_peak(eps, offsets))
+        assert rep.status() == "pass"
+        assert rep.params["sup_form"] == pytest.approx(1.0 + eps, rel=1e-12)
+
+
+def test_lemma_l04_certificate_brackets_the_sup_form():
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        rep = check_lemma("L04", a=_rand(rng, int(rng.integers(1, 7))))
+        sup, sup_upper = rep.params["sup_form"], rep.params["sup_upper"]
+        assert sup <= sup_upper <= sup * (1.0 + 1e-11)
+        assert sup <= rep.params["upper"]
+
+
 def test_lemma_l04_is_scale_invariant():
     # the tolerance is relative to the upper bound of w(A), so scaling A
     # moves no verdict
@@ -489,16 +511,48 @@ def test_lemma_l04_is_scale_invariant():
             assert rep.lhs <= rep.rhs  # without the absolute floor ATOL
 
 
+def _understated_radius(monkeypatch, r, low):
+    monkeypatch.setattr(catalog, "numerical_radius",
+                        lambda m: RadiusResult(low, r.theta, r.witness, 0,
+                                               low * (1.0 + 1e-12)))
+
+
 def test_lemma_l04_sup_form_above_upper_bound_fails(monkeypatch):
     # an understated w within L04_TOL of the sup form still fails when the
     # sup form exceeds its certified upper bound
     a = 1e3 * _rand(np.random.default_rng(67), 3)
     r = numerical_radius(a)
-    low = r.value * (1.0 - 1e-11)
-    monkeypatch.setattr(catalog, "numerical_radius",
-                        lambda m: RadiusResult(low, r.theta, r.witness, 0,
-                                               low * (1.0 + 1e-12)))
+    _understated_radius(monkeypatch, r, r.value * (1.0 - 1e-11))
     rep = check_lemma("L04", a=a)
+    assert rep.lhs <= L04_TOL * r.upper
+    assert rep.rhs == 0.0
+    assert rep.status() == "fail"
+
+
+def test_lemma_l04_absolute_floor_applies_below_norm_ten(monkeypatch):
+    # at ||A|| ~ 1 the uniform rule's ATOL = 1e-9, not L04_TOL * upper,
+    # sets the limit: a sup form above the upper bound by less than ATOL
+    # passes with rhs = 0, by more fails
+    a = _rand(np.random.default_rng(67), 3)
+    r = numerical_radius(a)
+    for gap, status in ((0.1 * ATOL, "pass"), (2.0 * ATOL, "fail")):
+        _understated_radius(monkeypatch, r, r.value - gap)
+        rep = check_lemma("L04", a=a)
+        assert rep.rhs == 0.0
+        assert rep.status() == status
+
+
+def test_lemma_l04_radius_above_the_sup_form_certificate_fails(monkeypatch):
+    # the two certified intervals must meet from either side: an
+    # overstated w above the sup form's upper bound fails as well
+    a = 1e3 * _rand(np.random.default_rng(67), 3)
+    r = numerical_radius(a)
+    high = r.value * (1.0 + 1e-11)
+    monkeypatch.setattr(catalog, "numerical_radius",
+                        lambda m: RadiusResult(high, r.theta, r.witness, 0,
+                                               high * (1.0 + 1e-12)))
+    rep = check_lemma("L04", a=a)
+    assert rep.params["sup_upper"] < high
     assert rep.lhs <= L04_TOL * r.upper
     assert rep.rhs == 0.0
     assert rep.status() == "fail"
