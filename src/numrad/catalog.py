@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     IncompatibleBoundsError,
     InvalidSpecError,
+    NotSquareError,
     UnknownBoundIdError,
 )
 from .matrixcore import adjoint, apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
@@ -73,6 +74,8 @@ __all__ = [
     "check_lemma",
     "evaluate_bound",
     "evaluate_family",
+    "radius_values",
+    "stage_family",
     "family_of",
     "required_operands",
     "compatible_signatures",
@@ -212,6 +215,59 @@ def _pd_gate(p, q, what):
 
 
 # ---------------------------------------------------------------------------
+# Staged evaluation.  Each family's evaluator is a generator: it checks its
+# parameters, yields the matrices whose numerical radii it reads, receives
+# their values in the same order, and returns its reports as a tuple in
+# the order of the family's ids.  A campaign
+# stages all its trials and computes every radius of one size in one
+# stacked `numerical_radius` call; a direct call is a campaign of one trial.
+
+
+def _radius_input(m) -> np.ndarray:
+    """``m`` validated as `numerical_radius` validates a matrix, so that an
+    input formed before its radius is computed raises where that call did."""
+    m = as_cmatrix(m, "A")
+    if m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"numerical radius needs square input, got {m.shape}")
+    return m
+
+
+def radius_values(mats) -> list:
+    """w(M) of each matrix in ``mats``, in order, from one stacked
+    `numerical_radius` call per size."""
+    mats = [_radius_input(m) for m in mats]
+    by_size = {}
+    for i, m in enumerate(mats):
+        by_size.setdefault(m.shape[0], []).append(i)
+    out = [0.0] * len(mats)
+    for idx in by_size.values():
+        for i, r in zip(idx, numerical_radius(np.stack([mats[i] for i in idx]))):
+            out[i] = r.value
+    return out
+
+
+def _stage(gen):
+    """(radius inputs, finish) of a started staged evaluator: finish(values)
+    sends it the radii and returns its reports."""
+    inputs = next(gen)
+
+    def finish(values):
+        try:
+            gen.send(tuple(values))
+        except StopIteration as done:
+            return done.value
+        raise RuntimeError("a staged evaluator yields once")
+
+    return inputs, finish
+
+
+def _evaluate(gen):
+    """Run a staged evaluator as a campaign of one trial."""
+    inputs, finish = _stage(gen)
+    return finish(radius_values(inputs))
+
+
+# ---------------------------------------------------------------------------
 # B01-B05: norm/radius comparisons with no structural hypotheses
 
 
@@ -236,11 +292,10 @@ def _b03(a, b, p, w) -> BoundReport:
     return _report("B03", w ** p, rhs, {"p": p})
 
 
-def _b04(a, b, p, w) -> BoundReport:
+def _b04(a, b, p, w, w_cross) -> BoundReport:
     """w(B*A)^p <= ||(AA*)^p + (BB*)^p|| / 4 + w(AB*)^p / 2."""
     _need_power(p)
     a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
-    w_cross = numerical_radius(a @ b.conj().T).value
     rhs = 0.25 * op_norm(psd_pow(a @ a.conj().T, p) + psd_pow(b @ b.conj().T, p)) \
         + 0.5 * w_cross ** p
     return _report("B04", w ** p, rhs, {"p": p, "omega_cross": w_cross})
@@ -251,23 +306,37 @@ def _omega_ba(a, b) -> float:
     return numerical_radius(adjoint(b) @ as_cmatrix(a, "A")).value
 
 
-def _b05(a, b, x, p) -> BoundReport:
-    """w(A*XB)^p <= ||(A*|X*|A)^p + (B*|X|B)^p|| / 2: the P and Q of B06-B10
-    for the sqrt pair."""
+def _b05_rhs(a, b, x, p) -> float:
+    """||(A*|X*|A)^p + (B*|X|B)^p|| / 2, the right side of B05: the P and Q
+    of B06-B10 for the sqrt pair."""
     _need_power(p)
     p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
-    rhs = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
-    return _report("B05", _target_omega(a, b, x) ** p, rhs, {"p": p})
+    return 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
+
+
+def _b05(a, b, x, p) -> BoundReport:
+    """w(A*XB)^p <= `_b05_rhs`, alone."""
+    rhs = _b05_rhs(a, b, x, p)
+    return _report("B05", numerical_radius(_target(a, b, x)).value ** p, rhs,
+                   {"p": p})
 
 
 def check_classics(a, b, x, p: float = 1.0):
     """Evaluate B01-B05 on a triple (A, B, X) with one power p >= 1."""
+    return _evaluate(_classics(a, b, x, p))
+
+
+def _classics(a, b, x, p=1.0):
+    """Staged B01-B05: w(A) serves B01 and B02, w(B*A) B03 and B04, w(AB*)
+    B04 and w(A*XB) B05."""
     _need_power(p)
-    # B01/B02 share w(A) and B03/B04 share w(B*A): one radius each
-    w_a = numerical_radius(a).value
-    w_ba = _omega_ba(a, b)
+    a = _radius_input(a)
+    ba = _radius_input(adjoint(b) @ a)
+    ab = a @ adjoint(b)
+    rhs05 = _b05_rhs(a, b, x, p)
+    w_a, w_ba, w_ab, w = yield a, ba, ab, _radius_input(_target(a, b, x))
     return (_b01(a, w_a), _b02(a, w_a), _b03(a, b, p, w_ba),
-            _b04(a, b, p, w_ba), _b05(a, b, x, p))
+            _b04(a, b, p, w_ba, w_ab), _report("B05", w ** p, rhs05, {"p": p}))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +355,9 @@ def _mean_pq(a, b, x, pair):
     return p_mat, q_mat
 
 
-def _target_omega(a, b, x):
-    """w(A*XB)."""
-    return numerical_radius(
-        adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")).value
+def _target(a, b, x):
+    """A*XB, whose radius B05-B10 and B18-B21 read."""
+    return adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")
 
 
 def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
@@ -305,16 +373,22 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     right side uses w because the claim is quantified over unit vectors
     and h is decreasing, making the maximizing vector the binding case.
     """
+    return _evaluate(_mean_h(a, b, x, pair, h, sigma))
+
+
+def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
+    """Staged B06 and B06p; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "decreasing")
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
     if isinstance(sb, str):
+        yield ()
         return _skipped("B06", params, sb), _skipped("B06p", params, sb)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, ep), eval_fn(hf, eq), sigma, 0.5))
-    w = _target_omega(a, b, x)
+    w, = yield _radius_input(_target(a, b, x)),
     return (
         _report("B06", lhs, (sb.m * k / sb.M) * hf(w), params),
         _report("B06p", lhs, hf(w), params),
@@ -330,6 +404,11 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
 
     where (m, M, k) come from the powered pair.  0 < nu < 1.
     """
+    return _evaluate(_mean_h_weighted(a, b, x, pair, h, sigma, nu))[0]
+
+
+def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
+    """Staged B07; w(A*XB) only when the powered pair passes the gate."""
     hf = _need_kind(h, "decreasing")
     _need_weight(nu)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
@@ -338,12 +417,13 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": nu}
     sb, epw, eqw = _pd_gate(pw, qw, "powered pair")
     if isinstance(sb, str):
-        return _skipped("B07", params, sb)
+        yield ()
+        return _skipped("B07", params, sb),
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, epw), eval_fn(hf, eqw), sigma, nu))
-    w = _target_omega(a, b, x)
-    return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params)
+    w, = yield _radius_input(_target(a, b, x)),
+    return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params),
 
 
 def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
@@ -353,16 +433,22 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         B09:  h(w(A*XB))   <= (m k / 2M) || h(P) + h(Q) ||  (h increasing convex)
         B10:  w(A*XB)^p    <= (m k / 2M) || P^p + Q^p ||    (p >= 1)
     """
+    return _evaluate(_omega_harmonic(a, b, x, pair, h, p))
+
+
+def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
+    """Staged B08-B10; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "p": p}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
     if isinstance(sb, str):
+        yield ()
         return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
-    w = _target_omega(a, b, x)
+    w, = yield _radius_input(_target(a, b, x)),
     c = sb.m * k / sb.M
     r08 = c * op_norm(mean(p_mat, q_mat, "harm", 0.5))
     r09 = 0.5 * c * op_norm(eval_fn(hf, ep) + eval_fn(hf, eq))
@@ -384,11 +470,15 @@ def check_mox(a, b, h="pow:1", p: float = 1.0):
         B11: h(w(A*B))  <= h(||A|| ||B||)/2 + h(w(BA*))/2
         B12: w(A*B)^p   <= (||A|| ||B||)^p / 2 + w(BA*)^p / 2
     """
+    return _evaluate(_mox(a, b, h, p))
+
+
+def _mox(a, b, h="pow:1", p: float = 1.0):
+    """Staged B11 and B12: w(A*B) and w(BA*)."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
     a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
-    w = numerical_radius(a.conj().T @ b).value
-    w_rev = numerical_radius(b @ a.conj().T).value
+    w, w_rev = yield _radius_input(a.conj().T @ b), _radius_input(b @ a.conj().T)
     prod = op_norm(a) * op_norm(b)
     return (
         _report("B11", hf(w), 0.5 * hf(prod) + 0.5 * hf(w_rev),
@@ -423,11 +513,15 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
         B13: w(A)^p   <= ||f(|A|)||^p ||g(|A|)||^p / 2 + w(At)^p / 2
         B15: h(w(A))  <= || h(f^2(|A|)) + h(g^2(|A|)) || / 4 + h(w(At)) / 2
     """
+    return _evaluate(_aluthge(a, pair, h, p))
+
+
+def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
+    """Staged B13 and B15: w(A) and w(At), with |A| factorized once."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
     fa, ga, at = _aluthge_parts(a, pair)
-    w = numerical_radius(a).value
-    wt = numerical_radius(at).value
+    w, wt = yield _radius_input(a), _radius_input(at)
     r13 = 0.5 * op_norm(fa) ** p * op_norm(ga) ** p + 0.5 * wt ** p
     f2 = eval_fn(hf, _sym(fa @ fa))
     g2 = eval_fn(hf, _sym(ga @ ga))
@@ -441,13 +535,18 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
 
 def check_block(a, b, x) -> BoundReport:
     """B14: w(A*XB) <= ||AA*X + XBB*|| / 4 + max(w(XBA*), w(BA*X)) / 2."""
+    return _evaluate(_block(a, b, x))[0]
+
+
+def _block(a, b, x):
+    """Staged B14: w(A*XB), w(XBA*) and w(BA*X)."""
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    w = numerical_radius(a.conj().T @ x @ b).value
+    w, w1, w2 = yield (_radius_input(a.conj().T @ x @ b),
+                       _radius_input(x @ b @ a.conj().T),
+                       _radius_input(b @ a.conj().T @ x))
     t1 = 0.25 * op_norm(a @ a.conj().T @ x + x @ b @ b.conj().T)
-    w1 = numerical_radius(x @ b @ a.conj().T).value
-    w2 = numerical_radius(b @ a.conj().T @ x).value
     return _report("B14", w, t1 + 0.5 * max(w1, w2),
-                   {"omega_xba": w1, "omega_bax": w2})
+                   {"omega_xba": w1, "omega_bax": w2}),
 
 
 def check_symmetrized(a, b, x):
@@ -461,9 +560,14 @@ def check_symmetrized(a, b, x):
     B16a's (arithmetic-geometric mean) nor B17's (since ||AB*|| <=
     ||A|| ||B||).  B17's report carries the margin over B16b.
     """
+    return _evaluate(_symmetrized(a, b, x))
+
+
+def _symmetrized(a, b, x):
+    """Staged B16a, B16b and B17: w(A*XB + B*XA) and w(X)."""
     a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    w = numerical_radius(a.conj().T @ x @ b + b.conj().T @ x @ a).value
-    wx = numerical_radius(x).value
+    w, wx = yield (_radius_input(a.conj().T @ x @ b + b.conj().T @ x @ a),
+                   _radius_input(x))
     na, nb = op_norm(a), op_norm(b)
     cross = op_norm(a @ b.conj().T)
     r_a = (0.5 * (na * na + nb * nb) + cross) * wx
@@ -497,6 +601,11 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
         B20: h(w(A*XB)^2) <= || (1-nu) h(r^2 T1^{1/(1-nu)}) + nu h(r^2 |A|^2) ||
         B21: w(A*XB)^{2p} <= r^{2p} || (1-nu) T1^{p/(1-nu)} + nu |A|^{2p} ||
     """
+    return _evaluate(_alpha(a, b, x, pair, h, nu))
+
+
+def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
+    """Staged B18-B21: w(A*XB)."""
     hf = _need_kind(h, "increasing")
     _need_weight(nu)
     f, g = get_pair(pair)
@@ -504,7 +613,7 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     e_a, e_as, _ = moduli(a)
     dev, comm_ok = _commutation(e_as, a, x)
     r = spectral_radius(x)
-    w = numerical_radius(a.conj().T @ x @ b).value
+    w, = yield _radius_input(a.conj().T @ x @ b),
     f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
     s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
     s2 = apply_fn(e_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu))
@@ -774,8 +883,7 @@ def _l06(a1, b1, a2, b2) -> BoundReport:
     """
     a1, b1 = as_cmatrix(a1, "A1"), as_cmatrix(b1, "B1")
     a2, b2 = as_cmatrix(a2, "A2"), as_cmatrix(b2, "B2")
-    w11 = numerical_radius(b1 @ a1).value
-    w22 = numerical_radius(b2 @ a2).value
+    w11, w22 = radius_values([_radius_input(b1 @ a1), b2 @ a2])
     disc = math.sqrt((w11 - w22) ** 2
                      + 4.0 * op_norm(b1 @ a2) * op_norm(b2 @ a1))
     lhs = spectral_radius(a1 @ b1 + a2 @ b2)
@@ -906,18 +1014,20 @@ P_GRID = (1.0, 2.0, 3.0)
 class Family:
     """Bounds that one evaluator reports together, in its return order.
 
-    ``name`` salts the campaign seeds, so it never changes.  ``check`` is
-    the evaluator's name in this module, looked up at call time, so a
-    wrapper set on the module attribute sees every call.  The evaluator
-    takes ``operands`` positionally and each key of ``grids`` as a
-    keyword; campaigns cycle each grid by trial index.  ``commuting_x``
+    ``name`` salts the campaign seeds, so it never changes.  ``evaluator``
+    is the name in this module of the family's staged evaluator, looked
+    up at call time, so a wrapper set on the module attribute sees every
+    call.  It takes ``operands`` positionally and each key of ``grids`` as
+    a keyword, yields once the matrices whose radii it reads (classics:
+    A, B*A, AB*, A*XB; block: A*XB, XBA*, BA*X; ...), and returns its
+    reports.  Campaigns cycle each grid by trial index.  ``commuting_x``
     marks a family whose hypothesis needs X to commute with |A*|.
     """
 
     name: str
     ids: tuple
     operands: tuple
-    check: str
+    evaluator: str
     grids: dict = field(default_factory=dict)
     commuting_x: bool = False
 
@@ -926,22 +1036,21 @@ _ABX = ("a", "b", "x")
 
 FAMILIES = (
     Family("classics", ("B01", "B02", "B03", "B04", "B05"), _ABX,
-           "check_classics", {"p": P_GRID}),
-    Family("mean_h", ("B06", "B06p"), _ABX, "check_mean_h",
+           "_classics", {"p": P_GRID}),
+    Family("mean_h", ("B06", "B06p"), _ABX, "_mean_h",
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID}),
-    Family("mean_h_weighted", ("B07",), _ABX, "check_mean_h_weighted",
+    Family("mean_h_weighted", ("B07",), _ABX, "_mean_h_weighted",
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID,
             "nu": NU_GRID}),
-    Family("omega_harmonic", ("B08", "B09", "B10"), _ABX,
-           "check_omega_harmonic",
+    Family("omega_harmonic", ("B08", "B09", "B10"), _ABX, "_omega_harmonic",
            {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
-    Family("mox", ("B11", "B12"), ("a", "b"), "check_mox",
+    Family("mox", ("B11", "B12"), ("a", "b"), "_mox",
            {"h": H_INC_GRID, "p": P_GRID}),
-    Family("aluthge", ("B13", "B15"), ("a",), "check_aluthge",
+    Family("aluthge", ("B13", "B15"), ("a",), "_aluthge",
            {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
-    Family("block", ("B14",), _ABX, "check_block"),
-    Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, "check_symmetrized"),
-    Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, "check_alpha",
+    Family("block", ("B14",), _ABX, "_block"),
+    Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, "_symmetrized"),
+    Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, "_alpha",
            {"pair": PAIR_GRID, "h": H_ALPHA_GRID, "nu": NU_GRID},
            commuting_x=True),
 )
@@ -954,7 +1063,9 @@ _ONE_BOUND = {
     "B01": (("a",), lambda a, p: _b01(a, numerical_radius(a).value)),
     "B02": (("a",), lambda a, p: _b02(a, numerical_radius(a).value)),
     "B03": (("a", "b"), lambda a, b, p: _b03(a, b, p, _omega_ba(a, b))),
-    "B04": (("a", "b"), lambda a, b, p: _b04(a, b, p, _omega_ba(a, b))),
+    "B04": (("a", "b"), lambda a, b, p: _b04(
+        a, b, p, _omega_ba(a, b),
+        numerical_radius(as_cmatrix(a, "A") @ adjoint(b)).value)),
     "B05": (_ABX, _b05),
 }
 
@@ -973,14 +1084,24 @@ def family_of(bound_id: str) -> Family:
         ) from None
 
 
+def stage_family(family: Family, mats: dict, **params):
+    """Start evaluating a family on ``mats`` (operand name -> matrix).
+
+    Returns (the matrices whose radii it reads, finish): finish(their
+    values, in order) returns one report per id, in ``family.ids`` order.
+    """
+    return _stage(globals()[family.evaluator](
+        *(mats[n] for n in family.operands), **params))
+
+
 def evaluate_family(family: Family, mats: dict, **params) -> tuple:
-    """Evaluate a family once on ``mats`` (operand name -> matrix).
+    """Evaluate a family once on ``mats`` (operand name -> matrix), as a
+    campaign of one trial.
 
     Returns one report per id, in ``family.ids`` order.
     """
-    out = globals()[family.check](*(mats[n] for n in family.operands),
-                                  **params)
-    return out if isinstance(out, tuple) else (out,)
+    inputs, finish = stage_family(family, mats, **params)
+    return finish(radius_values(inputs))
 
 
 def required_operands(bound_id: str) -> tuple[str, ...]:

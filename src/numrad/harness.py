@@ -15,9 +15,9 @@ the record standalone to the identical slack.
 from __future__ import annotations
 
 import io
-import json
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,9 +37,10 @@ from .catalog import (  # the grids are re-exported for callers of this module
     check_block,
     compatible_signatures,
     evaluate_bound,
-    evaluate_family,
     family_of,
+    radius_values,
     required_operands,
+    stage_family,
 )
 from .errors import InvalidSpecError
 from .matrixcore import abs_op, as_cmatrix, op_norm
@@ -66,6 +67,11 @@ _M64 = (1 << 64) - 1
 ENSEMBLE_KINDS = ("ginibre", "positive-definite")
 
 U_GRID = (0.25, 0.5, 0.75, 1.0)  # target spectral radii for scaled-X trials
+
+# trials that a campaign stages at once, of every family: their radii of
+# one dimension come from one stacked call, and the memory that staged
+# trials hold stays that of this many, however long the campaign
+_STAGED_TRIALS = 256
 
 
 def _splitmix64(z: int) -> int:
@@ -162,13 +168,9 @@ def generate(spec: EnsembleSpec) -> np.ndarray:
 def matrix_to_doc(m) -> dict:
     """Serialize a matrix as {"rows", "cols", "data"} with [re, im] entries."""
     m = as_cmatrix(m, "matrix")
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": [
-            [[float(v.real), float(v.imag)] for v in row] for row in m
-        ],
-    }
+    rows, cols = m.shape
+    return {"rows": rows, "cols": cols,
+            "data": m.view(np.float64).reshape(rows, cols, 2).tolist()}
 
 
 def doc_to_matrix(doc: dict) -> np.ndarray:
@@ -257,18 +259,22 @@ def _draw(cfg: CampaignConfig, operands, salt: int, t: int, commuting: bool):
     return dim, seed, mats
 
 
-def _trials(cfg, family, salt: str, commuting: bool):
-    """Draw each trial's inputs for ``family`` and evaluate the family once.
+def _trials(cfg, family, salt: str, commuting: bool, trials) -> list:
+    """Draw the inputs of ``family``'s trials t in ``trials`` and stage its
+    evaluation on them.
 
     Trial t's inputs come from `_draw` with salt crc32(``salt``), and each
-    of the family's grids is cycled by t.  Yields (t, dim, seed, reports
-    in ``family.ids`` order, operand name -> matrix).
+    of the family's grids is cycled by t.  Returns one (t, dim, seed,
+    operand name -> matrix, radius inputs, finish) per trial, the last two
+    from `catalog.stage_family`.
     """
     salt_int = zlib.crc32(salt.encode())
-    for t in range(cfg.trials):
+    out = []
+    for t in trials:
         dim, seed, mats = _draw(cfg, family.operands, salt_int, t, commuting)
         params = {key: grid[t % len(grid)] for key, grid in family.grids.items()}
-        yield t, dim, seed, evaluate_family(family, mats, **params), mats
+        out.append((t, dim, seed, mats, *stage_family(family, mats, **params)))
+    return out
 
 
 def _fmt(v) -> str:
@@ -308,7 +314,9 @@ class CampaignReport:
             "failures": self.failures,
             "info_rows": self.info_rows,
         }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)
+        out = []
+        _write_json(doc, out, "\n")
+        return "".join(out)
 
     def summary_lines(self) -> list:
         lines = []
@@ -319,6 +327,79 @@ class CampaignReport:
                 f"fail={s['failed']:<5d} skip={s['skipped']:<5d} min_slack={mn}"
             )
         return lines
+
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v) -> str:
+    text = float.__repr__(v)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+# the JSON text of each scalar type, as json.dumps writes it with
+# allow_nan=True; bool comes before its base class int
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: _float_text,
+    type(None): lambda v: "null",
+}
+
+
+def _json_scalar(v) -> str:
+    """JSON text of a scalar; a subclass (a numpy float) as its base."""
+    for kind, text in _SCALARS.items():
+        if isinstance(v, kind):
+            return text(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write_json(v, out: list, newline: str) -> None:
+    """Append ``v`` to ``out`` as json.dumps(v, indent=2, sort_keys=True,
+    allow_nan=True) writes it, byte for byte; ``newline`` is a newline and
+    the indent of the lines ``v`` starts on.
+
+    json.dumps falls back to its pure-Python encoder whenever ``indent``
+    is set; this writer does the same work with fewer calls per value.
+    """
+    inner = newline + "  "
+    if isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, x in sorted(v.items()):  # a key that is no str raises
+            head = sep + encode_basestring_ascii(key) + ": "
+            text = _SCALARS.get(type(x))
+            if text is not None:
+                out.append(head + text(x))
+            elif isinstance(x, (dict, list, tuple)):
+                out.append(head)
+                _write_json(x, out, inner)
+            else:
+                out.append(head + _json_scalar(x))
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for x in v:
+            text = _SCALARS.get(type(x))
+            if text is not None:
+                out.append(sep + text(x))
+            elif isinstance(x, (dict, list, tuple)):
+                out.append(sep)
+                _write_json(x, out, inner)
+            else:
+                out.append(sep + _json_scalar(x))
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_json_scalar(v))
 
 
 def _row(bid, t, dim, seed, rep, status) -> dict:
@@ -359,7 +440,12 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     evaluates the family's checks once, and records one row per bound:
     status "pass"/"fail" by the slack tolerance, or "skip" when the
     hypothesis gate reports false.  Identical configs produce identical
-    reports.
+    reports.  Trials are drawn and staged, all families together, in
+    blocks of _STAGED_TRIALS before any of the block is finished, so that
+    every radius a block reads at one dimension comes from one stacked
+    `numerical_radius` call (a campaign of up to 256 trials is one
+    block); each row equals its trial evaluated alone
+    (`catalog.evaluate_family`) bit for bit.
 
     ``with_info`` appends verdict-free rows probing each commuting-X
     family (B18-B21) on unconstrained X, tagged status "info".
@@ -372,18 +458,33 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
         "atol": cfg.atol,
         "rtol": cfg.rtol,
     })
+    runs = []  # (family, wanted ids, info rows?, salt, commuting), row order
     for family in FAMILIES:
         wanted = [i for i in family.ids if i in cfg.bounds]
         if not wanted:
             continue
-        for t, dim, seed, reports, inputs in _trials(
-                cfg, family, family.name, family.commuting_x):
+        runs.append((family, wanted, False, family.name, family.commuting_x))
+        if with_info and family.commuting_x:
+            # the claims are stated only under the commutation hypothesis,
+            # so plain Ginibre X gets rows without a verdict
+            runs.append((family, wanted, True, f"{family.name}-unconstrained",
+                         False))
+    rows = [[] for _ in runs]
+    failures = [[] for _ in runs]
+    for first in range(0, cfg.trials, _STAGED_TRIALS):
+        block = range(first, min(first + _STAGED_TRIALS, cfg.trials))
+        staged = [(i, trial) for i, (family, _, _, salt, commuting) in enumerate(runs)
+                  for trial in _trials(cfg, family, salt, commuting, block)]
+        values = iter(radius_values([m for _, trial in staged for m in trial[4]]))
+        for i, (t, dim, seed, inputs, radius_inputs, finish) in staged:
+            family, wanted, info = runs[i][:3]
+            reports = finish([next(values) for _ in radius_inputs])
             for bid, rep in zip(family.ids, reports):
                 if bid not in wanted:
                     continue
-                status = rep.status(cfg.atol, cfg.rtol)
+                status = "info" if info else rep.status(cfg.atol, cfg.rtol)
                 if status == "fail":
-                    report.failures.append({
+                    failures[i].append({
                         "bound_id": bid,
                         "trial": t,
                         "dim": dim,
@@ -398,15 +499,10 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
                             for name in required_operands(bid)
                         },
                     })
-                report.rows.append(_row(bid, t, dim, seed, rep, status))
-        if with_info and family.commuting_x:
-            # the claims are stated only under the commutation hypothesis,
-            # so plain Ginibre X gets rows without a verdict
-            for t, dim, seed, reports, _ in _trials(
-                    cfg, family, f"{family.name}-unconstrained", False):
-                report.info_rows.extend(
-                    _row(bid, t, dim, seed, rep, "info")
-                    for bid, rep in zip(family.ids, reports) if bid in wanted)
+                rows[i].append(_row(bid, t, dim, seed, rep, status))
+    for (_, _, info, _, _), out, failed in zip(runs, rows, failures):
+        (report.info_rows if info else report.rows).extend(out)
+        report.failures.extend(failed)
     report.per_bound = _tally(report.rows)
     return report
 

@@ -824,8 +824,9 @@ def test_each_operand_is_factorized_once(monkeypatch):
             calls[_name] += 1
             return _orig(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
+    one = SimpleNamespace(value=1.0)
     monkeypatch.setattr(catalog, "numerical_radius",
-                        lambda m: SimpleNamespace(value=1.0))
+                        lambda m: [one] * len(m) if np.ndim(m) == 3 else one)
     rng = np.random.default_rng(21)
     a, b, y = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
     x = 2.0 * np.eye(3) + 0.1 * _rand(rng, 3)  # r(X) > 1: B19 skips

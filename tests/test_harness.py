@@ -10,10 +10,18 @@ from numrad.errors import (
     IncompatibleBoundsError,
     InvalidSpecError,
 )
-from numrad.catalog import check_block, evaluate_bound, family_of
+from numrad.catalog import (
+    FAMILIES,
+    check_block,
+    evaluate_bound,
+    evaluate_family,
+    family_of,
+)
+from numrad import harness
 from numrad.harness import (
     U_GRID,
     CampaignConfig,
+    CampaignReport,
     EnsembleSpec,
     doc_to_matrix,
     generate,
@@ -126,6 +134,14 @@ def test_matrix_doc_roundtrip():
         doc = json.loads(json.dumps(matrix_to_doc(np.zeros(shape))))
         back = doc_to_matrix(doc)
         assert back.shape == shape and back.dtype == np.complex128
+    # the document is the entrywise [re, im] list, signed zeros and
+    # subnormals included, and empty shapes too
+    for mat in (m, m.T, got, np.zeros((0, 0)), np.zeros((0, 3)),
+                np.zeros((3, 0))):
+        ref = {"rows": mat.shape[0], "cols": mat.shape[1],
+               "data": [[[float(v.real), float(v.imag)] for v in row]
+                        for row in mat]}
+        assert json.dumps(matrix_to_doc(mat)) == json.dumps(ref)
 
 
 def test_doc_to_matrix_rejects_malformed():
@@ -240,6 +256,36 @@ def test_campaign_records_replayable_failures():
     assert replay_failure(rec3).slack == rec["slack"]
 
 
+@pytest.mark.parametrize("block", [None, 3])
+def test_campaign_rows_equal_single_trial_evaluation(block, monkeypatch):
+    # a campaign stages its trials in blocks and takes all radii of one
+    # size in a block from one stacked call; each row must equal its
+    # trial evaluated alone, with one block or several
+    if block is not None:
+        monkeypatch.setattr(harness, "_STAGED_TRIALS", block)
+    cfg = CampaignConfig(trials=8, dims=(1, 2, 3, 5, 16), seed=13)
+    rep = run_campaign(cfg, with_info=True)
+    rows, info_rows = iter(rep.rows), iter(rep.info_rows)
+    runs = [(fam, fam.name, fam.commuting_x, rows) for fam in FAMILIES]
+    runs += [(fam, f"{fam.name}-unconstrained", False, info_rows)
+             for fam in FAMILIES if fam.commuting_x]
+    for fam, salt, commuting, out in runs:
+        for t in range(cfg.trials):
+            dim, seed, mats = _draw(cfg, fam.operands, zlib.crc32(salt.encode()),
+                                    t, commuting)
+            params = {k: grid[t % len(grid)] for k, grid in fam.grids.items()}
+            for bid, alone in zip(fam.ids, evaluate_family(fam, mats, **params)):
+                row = next(out)
+                assert (row["bound_id"], row["trial"], row["dim"],
+                        row["seed"]) == (bid, t, dim, seed)
+                assert [row[k].hex() for k in ("lhs", "rhs", "slack")] == \
+                    [alone.lhs.hex(), alone.rhs.hex(), alone.slack.hex()], bid
+                assert row["status"] == ("info" if out is info_rows
+                                         else alone.status())
+    assert next(rows, None) is None and next(info_rows, None) is None
+    assert len(rep.per_bound) == 23
+
+
 def test_campaign_skip_rows_for_b19():
     # unscaled (even) alpha trials can exceed r(X) = 1 only if the draw
     # is not normalized; the commuting ensemble clips to norm <= 1, so
@@ -259,6 +305,31 @@ def test_campaign_info_rows():
     # info rows ride along in the CSV but not in the stats
     assert "info" in rep.to_csv()
     assert rep.per_bound["B18"]["trials"] == 3
+
+
+@pytest.mark.parametrize("cfg", [CampaignConfig(seed=42),
+                                 CampaignConfig(trials=30, dims=(1, 2, 6), seed=7)],
+                         ids=["seed42", "seed7"])
+def test_to_json_matches_json_dumps(cfg):
+    rep = run_campaign(cfg, with_info=True)
+    doc = {"config": rep.config, "per_bound": rep.per_bound, "rows": rep.rows,
+           "failures": rep.failures, "info_rows": rep.info_rows}
+    assert rep.to_json() == json.dumps(doc, indent=2, sort_keys=True,
+                                       allow_nan=True)
+
+
+def test_to_json_matches_json_dumps_on_edge_values():
+    config = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+              "zero": -0.0, "tiny": 5e-324, "none": None, "list": [],
+              "dict": {}, "flags": [True, False], "int": -(2 ** 70),
+              "text": "\u00e9t\u00e9 \u03c9(A) \"q\"\n\U0001f600",
+              "\u00fcber": [[1, [2.5, {}]], (), {"b": [], "a": None}],
+              "np": np.float64(0.1)}
+    rep = CampaignReport(config=config, rows=[{"z": 1, "a": [math.nan]}])
+    doc = {"config": config, "per_bound": {}, "rows": rep.rows,
+           "failures": [], "info_rows": []}
+    assert rep.to_json() == json.dumps(doc, indent=2, sort_keys=True,
+                                       allow_nan=True)
 
 
 # ------------------------------------------------------ reference examples

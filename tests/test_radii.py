@@ -199,6 +199,36 @@ def test_empty_matrix():
     assert spectral_radius(e) == 0.0
 
 
+def _fields(r):
+    return (r.value.hex(), float(r.theta).hex(), r.evaluations,
+            float(r.upper).hex(), r.witness.shape, r.witness.tobytes())
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stack_members_equal_single_calls(n):
+    # a stack is a batch of single calls: every member's five fields equal
+    # the 2-D call's bit for bit, across chunk boundaries (at n = 16 every
+    # member is a chunk of its own) and with members that stop early
+    rng = np.random.default_rng(71 + n)
+    mats = [_random_matrix(rng, n) for _ in range(4)]
+    mats += [np.ldexp(1.0, 600) * mats[0], np.ldexp(1.0, -600) * mats[1],
+             np.zeros((n, n)), np.eye(n, k=1),
+             np.diag(np.resize(np.diag(_missed_peak(2e-6)), n))]
+    got = numerical_radius(np.array(mats))
+    assert isinstance(got, list) and len(got) == len(mats)
+    for a, r in zip(mats, got):
+        assert _fields(r) == _fields(numerical_radius(a))
+
+
+def test_empty_stacks():
+    assert numerical_radius(np.zeros((0, 3, 3))) == []
+    rs = numerical_radius(np.zeros((2, 0, 0)))
+    assert [(r.value, r.upper, r.evaluations, r.witness.shape) for r in rs] \
+        == [(0.0, 0.0, 0, (0,))] * 2
+    with pytest.raises(NotSquareError):
+        numerical_radius(np.zeros((2, 2, 3)))
+
+
 def test_omega_blockdiag_is_max_of_blocks():
     blocks = [np.array([[0, 1], [0, 0]]), np.array([[2.0]])]
     assert omega_blockdiag(blocks) == pytest.approx(2.0, abs=1e-9)
