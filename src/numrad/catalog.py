@@ -31,12 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     IncompatibleBoundsError,
     InvalidSpecError,
     NotSquareError,
     UnknownBoundIdError,
 )
-from .matrixcore import adjoint, apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
+from .matrixcore import _require_square, apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
 from .meansfuncs import (
     compress,
     eval_fn,
@@ -232,6 +233,19 @@ def _radius_input(m) -> np.ndarray:
     return m
 
 
+def _square_operands(*ms) -> list:
+    """Operands A, B, X (as many as given) as complex matrices, raising
+    NotSquareError or DimensionMismatchError unless all are n x n for one
+    n: the claims are about operators on one space."""
+    ms = [as_cmatrix(m, name) for m, name in zip(ms, "ABX")]
+    for m, name in zip(ms, "ABX"):
+        _require_square(m, name)
+        if m.shape != ms[0].shape:
+            raise DimensionMismatchError(
+                f"{name} has shape {m.shape}, A has shape {ms[0].shape}")
+    return ms
+
+
 def radius_values(mats) -> list:
     """w(M) of each matrix in ``mats``, in order, from one stacked
     `numerical_radius` call per size."""
@@ -271,58 +285,19 @@ def _evaluate(gen):
 # B01-B05: norm/radius comparisons with no structural hypotheses
 
 
-def _b01(a, w) -> BoundReport:
-    """||A||/2 <= w(A) <= ||A||, folded into |w - 3/4 ||A||| <= ||A||/4."""
-    na = op_norm(a)
-    return _report("B01", abs(w - 0.75 * na), 0.25 * na, {"norm": na, "omega": w})
-
-
-def _b02(a, w) -> BoundReport:
-    """w(A)^2 <= ||A*A + AA*|| / 2."""
-    a = as_cmatrix(a, "A")
-    rhs = 0.5 * op_norm(a.conj().T @ a + a @ a.conj().T)
-    return _report("B02", w * w, rhs, {"omega": w})
-
-
-def _b03(a, b, p, w) -> BoundReport:
-    """w(B*A)^p <= ||(A*A)^p + (B*B)^p|| / 2, p >= 1."""
-    _need_power(p)
-    a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
-    rhs = 0.5 * op_norm(psd_pow(a.conj().T @ a, p) + psd_pow(b.conj().T @ b, p))
-    return _report("B03", w ** p, rhs, {"p": p})
-
-
-def _b04(a, b, p, w, w_cross) -> BoundReport:
-    """w(B*A)^p <= ||(AA*)^p + (BB*)^p|| / 4 + w(AB*)^p / 2."""
-    _need_power(p)
-    a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
-    rhs = 0.25 * op_norm(psd_pow(a @ a.conj().T, p) + psd_pow(b @ b.conj().T, p)) \
-        + 0.5 * w_cross ** p
-    return _report("B04", w ** p, rhs, {"p": p, "omega_cross": w_cross})
-
-
-def _omega_ba(a, b) -> float:
-    """w(B*A), the left side shared by B03 and B04."""
-    return numerical_radius(adjoint(b) @ as_cmatrix(a, "A")).value
-
-
-def _b05_rhs(a, b, x, p) -> float:
-    """||(A*|X*|A)^p + (B*|X|B)^p|| / 2, the right side of B05: the P and Q
-    of B06-B10 for the sqrt pair."""
-    _need_power(p)
-    p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
-    return 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
-
-
-def _b05(a, b, x, p) -> BoundReport:
-    """w(A*XB)^p <= `_b05_rhs`, alone."""
-    rhs = _b05_rhs(a, b, x, p)
-    return _report("B05", numerical_radius(_target(a, b, x)).value ** p, rhs,
-                   {"p": p})
-
-
 def check_classics(a, b, x, p: float = 1.0):
-    """Evaluate B01-B05 on a triple (A, B, X) with one power p >= 1."""
+    """B01-B05, norm and radius comparisons with no structural
+    hypotheses, at one power p >= 1.
+
+        B01:  ||A||/2 <= w(A) <= ||A||, folded into
+              |w(A) - 3/4 ||A||| <= ||A||/4
+        B02:  w(A)^2    <= ||A*A + AA*|| / 2
+        B03:  w(B*A)^p  <= ||(A*A)^p + (B*B)^p|| / 2
+        B04:  w(B*A)^p  <= ||(AA*)^p + (BB*)^p|| / 4 + w(AB*)^p / 2
+        B05:  w(A*XB)^p <= ||(A*|X*|A)^p + (B*|X|B)^p|| / 2
+
+    B05's operators are the Q and P of B06-B10 for the sqrt pair.
+    """
     return _evaluate(_classics(a, b, x, p))
 
 
@@ -330,13 +305,22 @@ def _classics(a, b, x, p=1.0):
     """Staged B01-B05: w(A) serves B01 and B02, w(B*A) B03 and B04, w(AB*)
     B04 and w(A*XB) B05."""
     _need_power(p)
-    a = _radius_input(a)
-    ba = _radius_input(adjoint(b) @ a)
-    ab = a @ adjoint(b)
-    rhs05 = _b05_rhs(a, b, x, p)
-    w_a, w_ba, w_ab, w = yield a, ba, ab, _radius_input(_target(a, b, x))
-    return (_b01(a, w_a), _b02(a, w_a), _b03(a, b, p, w_ba),
-            _b04(a, b, p, w_ba, w_ab), _report("B05", w ** p, rhs05, {"p": p}))
+    a, b, x = _square_operands(a, b, x)
+    ah, bh = a.conj().T, b.conj().T
+    ba = _radius_input(bh @ a)
+    p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
+    rhs05 = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
+    w_a, w_ba, w_ab, w = yield a, ba, a @ bh, _radius_input(_target(a, b, x))
+    na = op_norm(a)
+    r03 = 0.5 * op_norm(psd_pow(ah @ a, p) + psd_pow(bh @ b, p))
+    r04 = 0.25 * op_norm(psd_pow(a @ ah, p) + psd_pow(b @ bh, p)) + 0.5 * w_ab ** p
+    return (
+        _report("B01", abs(w_a - 0.75 * na), 0.25 * na, {"norm": na, "omega": w_a}),
+        _report("B02", w_a * w_a, 0.5 * op_norm(ah @ a + a @ ah), {"omega": w_a}),
+        _report("B03", w_ba ** p, r03, {"p": p}),
+        _report("B04", w_ba ** p, r04, {"p": p, "omega_cross": w_ab}),
+        _report("B05", w ** p, rhs05, {"p": p}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +330,6 @@ def _classics(a, b, x, p=1.0):
 
 def _mean_pq(a, b, x, pair):
     f, g = get_pair(pair)
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
     abs_x, abs_xs, _ = moduli(x)
     fx = apply_fn(abs_x, lambda t: np.asarray(f.fn(t)) ** 2)
     gxs = apply_fn(abs_xs, lambda t: np.asarray(g.fn(t)) ** 2)
@@ -356,8 +339,8 @@ def _mean_pq(a, b, x, pair):
 
 
 def _target(a, b, x):
-    """A*XB, whose radius B05-B10 and B18-B21 read."""
-    return adjoint(a) @ as_cmatrix(x, "X") @ as_cmatrix(b, "B")
+    """A*XB, whose radius B05-B10, B14 and B18-B21 read."""
+    return a.conj().T @ x @ b
 
 
 def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
@@ -379,6 +362,7 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
 def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     """Staged B06 and B06p; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "decreasing")
+    a, b, x = _square_operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
@@ -411,6 +395,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     """Staged B07; w(A*XB) only when the powered pair passes the gate."""
     hf = _need_kind(h, "decreasing")
     _need_weight(nu)
+    a, b, x = _square_operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     pw = psd_pow(p_mat, 1.0 / (1.0 - nu))
     qw = psd_pow(q_mat, 1.0 / nu)
@@ -440,6 +425,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B08-B10; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
+    a, b, x = _square_operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "p": p}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
@@ -477,7 +463,7 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
     """Staged B11 and B12: w(A*B) and w(BA*)."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
-    a, b = as_cmatrix(a, "A"), as_cmatrix(b, "B")
+    a, b = _square_operands(a, b)
     w, w_rev = yield _radius_input(a.conj().T @ b), _radius_input(b @ a.conj().T)
     prod = op_norm(a) * op_norm(b)
     return (
@@ -520,6 +506,7 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B13 and B15: w(A) and w(At), with |A| factorized once."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
+    a, = _square_operands(a)
     fa, ga, at = _aluthge_parts(a, pair)
     w, wt = yield _radius_input(a), _radius_input(at)
     r13 = 0.5 * op_norm(fa) ** p * op_norm(ga) ** p + 0.5 * wt ** p
@@ -540,8 +527,8 @@ def check_block(a, b, x) -> BoundReport:
 
 def _block(a, b, x):
     """Staged B14: w(A*XB), w(XBA*) and w(BA*X)."""
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    w, w1, w2 = yield (_radius_input(a.conj().T @ x @ b),
+    a, b, x = _square_operands(a, b, x)
+    w, w1, w2 = yield (_radius_input(_target(a, b, x)),
                        _radius_input(x @ b @ a.conj().T),
                        _radius_input(b @ a.conj().T @ x))
     t1 = 0.25 * op_norm(a @ a.conj().T @ x + x @ b @ b.conj().T)
@@ -565,8 +552,8 @@ def check_symmetrized(a, b, x):
 
 def _symmetrized(a, b, x):
     """Staged B16a, B16b and B17: w(A*XB + B*XA) and w(X)."""
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
-    w, wx = yield (_radius_input(a.conj().T @ x @ b + b.conj().T @ x @ a),
+    a, b, x = _square_operands(a, b, x)
+    w, wx = yield (_radius_input(_target(a, b, x) + _target(b, a, x)),
                    _radius_input(x))
     na, nb = op_norm(a), op_norm(b)
     cross = op_norm(a @ b.conj().T)
@@ -609,11 +596,11 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     hf = _need_kind(h, "increasing")
     _need_weight(nu)
     f, g = get_pair(pair)
-    a, b, x = as_cmatrix(a, "A"), as_cmatrix(b, "B"), as_cmatrix(x, "X")
+    a, b, x = _square_operands(a, b, x)
     e_a, e_as, _ = moduli(a)
     dev, comm_ok = _commutation(e_as, a, x)
     r = spectral_radius(x)
-    w, = yield _radius_input(a.conj().T @ x @ b),
+    w, = yield _radius_input(_target(a, b, x)),
     f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
     s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
     s2 = apply_fn(e_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu))
@@ -883,7 +870,7 @@ def _l06(a1, b1, a2, b2) -> BoundReport:
     """
     a1, b1 = as_cmatrix(a1, "A1"), as_cmatrix(b1, "B1")
     a2, b2 = as_cmatrix(a2, "A2"), as_cmatrix(b2, "B2")
-    w11, w22 = radius_values([_radius_input(b1 @ a1), b2 @ a2])
+    w11, w22 = radius_values([b1 @ a1, b2 @ a2])
     disc = math.sqrt((w11 - w22) ** 2
                      + 4.0 * op_norm(b1 @ a2) * op_norm(b2 @ a1))
     lhs = spectral_radius(a1 @ b1 + a2 @ b2)
@@ -1022,6 +1009,10 @@ class Family:
     A, B*A, AB*, A*XB; block: A*XB, XBA*, BA*X; ...), and returns its
     reports.  Campaigns cycle each grid by trial index.  ``commuting_x``
     marks a family whose hypothesis needs X to commute with |A*|.
+
+    ``reads`` maps an id to the operands and grid keys its report depends
+    on; an id without an entry reads all of them.  `required_operands` and
+    `evaluate_bound` take what a single bound needs from it.
     """
 
     name: str
@@ -1030,44 +1021,46 @@ class Family:
     evaluator: str
     grids: dict = field(default_factory=dict)
     commuting_x: bool = False
+    reads: dict = field(default_factory=dict)
+
+    def reads_of(self, bound_id: str) -> tuple:
+        """The operands and grid keys that ``bound_id``'s report reads."""
+        return self.reads.get(bound_id, self.operands + tuple(self.grids))
 
 
 _ABX = ("a", "b", "x")
 
 FAMILIES = (
     Family("classics", ("B01", "B02", "B03", "B04", "B05"), _ABX,
-           "_classics", {"p": P_GRID}),
+           "_classics", {"p": P_GRID},
+           reads={"B01": ("a",), "B02": ("a",),
+                  "B03": ("a", "b", "p"), "B04": ("a", "b", "p")}),
     Family("mean_h", ("B06", "B06p"), _ABX, "_mean_h",
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID}),
     Family("mean_h_weighted", ("B07",), _ABX, "_mean_h_weighted",
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID,
             "nu": NU_GRID}),
     Family("omega_harmonic", ("B08", "B09", "B10"), _ABX, "_omega_harmonic",
-           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
+           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID},
+           reads={"B08": (*_ABX, "pair"), "B09": (*_ABX, "pair", "h"),
+                  "B10": (*_ABX, "pair", "p")}),
     Family("mox", ("B11", "B12"), ("a", "b"), "_mox",
-           {"h": H_INC_GRID, "p": P_GRID}),
+           {"h": H_INC_GRID, "p": P_GRID},
+           reads={"B11": ("a", "b", "h"), "B12": ("a", "b", "p")}),
     Family("aluthge", ("B13", "B15"), ("a",), "_aluthge",
-           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID}),
+           {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID},
+           reads={"B13": ("a", "pair", "p"), "B15": ("a", "pair", "h")}),
     Family("block", ("B14",), _ABX, "_block"),
     Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, "_symmetrized"),
     Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, "_alpha",
            {"pair": PAIR_GRID, "h": H_ALPHA_GRID, "nu": NU_GRID},
-           commuting_x=True),
+           commuting_x=True,
+           # B20 and B21 pin their pair to f = t^{1-nu}, g = t^nu
+           reads={"B20": (*_ABX, "h", "nu"), "B21": (*_ABX, "h", "nu")}),
 )
 
 # campaign shorthands for a claim catalogued as several ids
 ALIASES = {"B06": ("B06", "B06p"), "B16": ("B16a", "B16b")}
-
-# alone, B01-B05 need fewer operands and radius calls than check_classics
-_ONE_BOUND = {
-    "B01": (("a",), lambda a, p: _b01(a, numerical_radius(a).value)),
-    "B02": (("a",), lambda a, p: _b02(a, numerical_radius(a).value)),
-    "B03": (("a", "b"), lambda a, b, p: _b03(a, b, p, _omega_ba(a, b))),
-    "B04": (("a", "b"), lambda a, b, p: _b04(
-        a, b, p, _omega_ba(a, b),
-        numerical_radius(as_cmatrix(a, "A") @ adjoint(b)).value)),
-    "B05": (_ABX, _b05),
-}
 
 _FAMILY_OF = {bid: fam for fam in FAMILIES for bid in fam.ids}
 
@@ -1105,35 +1098,35 @@ def evaluate_family(family: Family, mats: dict, **params) -> tuple:
 
 
 def required_operands(bound_id: str) -> tuple[str, ...]:
-    """Operand names ('a', 'b', 'x') a bound evaluator consumes."""
-    if bound_id in _ONE_BOUND:
-        return _ONE_BOUND[bound_id][0]
-    return family_of(bound_id).operands
+    """Operand names ('a', 'b', 'x') that a bound reads, in its family's
+    operand order (`Family.reads`)."""
+    fam = family_of(bound_id)
+    return tuple(n for n in fam.operands if n in fam.reads_of(bound_id))
 
 
 def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
                    nu: float = 0.5, pair="sqrt", h=None, sigma="arith"):
-    """Evaluate a single catalogued bound by ID.
+    """Evaluate a single catalogued bound by ID, by running its family.
 
-    Operands and parameters the bound does not consume are ignored;
-    missing required operands raise InvalidSpecError.  ``h`` defaults to
-    the family evaluator's own default: "inv" for the decreasing-function
-    family (B06-B07), "pow:1" elsewhere.
+    Operands and parameters the bound does not consume (`Family.reads`)
+    are ignored: an operand it does not read is replaced by zeros of A's
+    shape, and a grid key it does not read is left at the evaluator's
+    default, so nothing only a sibling reads can change or fail the
+    report.  Missing required operands raise InvalidSpecError.  ``h``
+    defaults to the family evaluator's own default: "inv" for the
+    decreasing-function family (B06-B07), "pow:1" elsewhere.
     """
-    need = required_operands(bound_id)
+    fam = family_of(bound_id)
+    reads = fam.reads_of(bound_id)
     got = {"a": a, "b": b, "x": x}
-    missing = [n for n in need if got[n] is None]
+    missing = [n.upper() for n in fam.operands if n in reads and got[n] is None]
     if missing:
-        raise InvalidSpecError(
-            f"{bound_id} requires operand(s) {', '.join(m.upper() for m in missing)}"
-        )
-    if bound_id in _ONE_BOUND:
-        return _ONE_BOUND[bound_id][1](*(got[n] for n in need), p)
-
-    fam = _FAMILY_OF[bound_id]
+        raise InvalidSpecError(f"{bound_id} requires operand(s) {', '.join(missing)}")
+    mats = {n: got[n] if n in reads else np.zeros(np.shape(a))
+            for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
-    params = {k: given[k] for k in fam.grids if given[k] is not None}
-    return evaluate_family(fam, got, **params)[fam.ids.index(bound_id)]
+    params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
+    return evaluate_family(fam, mats, **params)[fam.ids.index(bound_id)]
 
 
 def compatible_signatures(bound_a: str, bound_b: str) -> None:

@@ -45,8 +45,10 @@ from numrad.catalog import (
     _report,
 )
 from numrad.errors import (
+    DimensionMismatchError,
     IncompatibleBoundsError,
     InvalidSpecError,
+    NotSquareError,
     NumradError,
     UnknownBoundIdError,
 )
@@ -748,14 +750,98 @@ def test_evaluate_bound_validation():
 
 
 def test_required_operands_and_compatibility():
-    assert required_operands("B01") == ("a",)
-    assert required_operands("B14") == ("a", "b", "x")
+    abx = ("a", "b", "x")
+    assert {bid: required_operands(bid) for bid in ALL_BOUND_IDS} == {
+        "B01": ("a",), "B02": ("a",), "B03": ("a", "b"), "B04": ("a", "b"),
+        "B05": abx, "B06": abx, "B06p": abx, "B07": abx,
+        "B08": abx, "B09": abx, "B10": abx,
+        "B11": ("a", "b"), "B12": ("a", "b"), "B13": ("a",), "B14": abx,
+        "B15": ("a",), "B16a": abx, "B16b": abx, "B17": abx,
+        "B18": abx, "B19": abx, "B20": abx, "B21": abx,
+    }
     compatible_signatures("B05", "B14")
     compatible_signatures("B08", "B05")
     with pytest.raises(IncompatibleBoundsError):
         compatible_signatures("B01", "B05")
     with pytest.raises(UnknownBoundIdError):
         required_operands("B00")
+
+
+def test_reads_name_only_the_familys_ids_operands_and_grid_keys():
+    for fam in FAMILIES:
+        assert set(fam.reads) <= set(fam.ids), fam.name
+        for bid in fam.ids:
+            reads = fam.reads_of(bid)
+            assert set(reads) <= {*fam.operands, *fam.grids}, bid
+            # evaluate_bound's stand-ins take A's shape
+            assert "a" in reads, bid
+
+
+# every value a grid key takes in the campaigns, and one that every family
+# rejects
+_ANY_VALUE = {
+    "p": (*P_GRID, 0.5),
+    "nu": (*NU_GRID, 1.5),
+    "pair": (*PAIR_GRID, "bogus"),
+    "h": (*H_DEC_GRID, *H_INC_GRID, "bogus"),
+    "sigma": (*SIGMA_GRID, "bogus"),
+}
+
+
+@pytest.mark.parametrize("bid", ALL_BOUND_IDS)
+def test_a_bound_ignores_what_it_does_not_read(bid):
+    # a key or operand only a sibling reads cannot change or fail a
+    # bound's report, whatever its value or shape
+    fam = catalog.family_of(bid)
+    reads = fam.reads_of(bid)
+    rng = np.random.default_rng(83)
+    a, b = _rand(rng, 2), _rand(rng, 2)
+    x = _commuting_x(rng, a) if fam.commuting_x else _rand(rng, 2)
+    base = evaluate_bound(bid, a=a, b=b, x=x)
+    bits = (base.lhs.hex(), base.rhs.hex())
+    for key in set(_ANY_VALUE) - set(reads):
+        for value in _ANY_VALUE[key]:
+            with np.errstate(over="ignore"):
+                rep = evaluate_bound(bid, a=a, b=b, x=x, **{key: value})
+            assert (rep.lhs.hex(), rep.rhs.hex()) == bits, (key, value)
+    mats = {"a": a, "b": b, "x": x}
+    for name in set(fam.operands) - set(reads):
+        other = {**mats, name: _rand(rng, 3)}
+        rep = evaluate_bound(bid, **other)
+        assert (rep.lhs.hex(), rep.rhs.hex()) == bits, name
+
+
+def test_operands_must_be_square_and_of_one_size():
+    rng = np.random.default_rng(89)
+    a2, a3 = _rand(rng, 2), _rand(rng, 3)
+    wide = rng.standard_normal((2, 3))
+    with pytest.raises(DimensionMismatchError):
+        check_block(a2, a3, a2)
+    with pytest.raises(DimensionMismatchError):
+        check_classics(a2, a2, a3)
+    # B11 and B12 are claims about operators on one space
+    with pytest.raises(NotSquareError):
+        check_mox(wide, wide)
+    with pytest.raises(NotSquareError):
+        check_aluthge(wide)
+    # B01 does not read B, so B's shape does not matter
+    assert evaluate_bound("B01", a=a2, b=a3).status() == "pass"
+
+
+def test_b01_to_b05_alone_make_one_radius_call(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return numerical_radius(m)
+
+    monkeypatch.setattr(catalog, "numerical_radius", counted)
+    rng = np.random.default_rng(97)
+    a, b, x = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
+    for bid in ("B01", "B02", "B03", "B04", "B05"):
+        calls.clear()
+        evaluate_bound(bid, a=a, b=b, x=x)
+        assert calls == [(4, 3, 3)], bid
 
 
 def test_every_bound_id_dispatches_on_identity():
@@ -817,7 +903,7 @@ def test_scaled_inputs_give_finite_reports_or_typed_errors(name, seed, n, t, k):
 def test_each_operand_is_factorized_once(monkeypatch):
     """eigh and svd calls per step with the radius stubbed out: one SVD
     gives |X| and |X*|, one eigh each P and Q, reused by every function of
-    them."""
+    them; check_classics factorizes P, Q, A*A, B*B, AA* and BB* once each."""
     calls = {"eigh": 0, "svd": 0}
     for name in calls:
         def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kw):
@@ -841,7 +927,7 @@ def test_each_operand_is_factorized_once(monkeypatch):
         "check_mean_h arith": lambda: check_mean_h(a, b, y),
         "check_omega_harmonic": lambda: check_omega_harmonic(a, b, y),
         "check_alpha": lambda: check_alpha(a, b, x),
-        "_b05": lambda: catalog._b05(a, b, y, 1.0),
+        "check_classics": lambda: check_classics(a, b, y),
         "L01": lambda: check_lemma("L01", a=a, x=unit, y=unit),
     }
     got = {}
@@ -858,6 +944,6 @@ def test_each_operand_is_factorized_once(monkeypatch):
         "check_mean_h arith": (2, 1),
         "check_omega_harmonic": (5, 1),
         "check_alpha": (7, 1),
-        "_b05": (2, 1),
+        "check_classics": (6, 1),
         "L01": (0, 1),
     }

@@ -277,6 +277,25 @@ def test_check_non_finite_scalar_value_exits_precondition(tmp_path):
     assert rc == 3
 
 
+def test_check_ignores_a_function_only_a_sibling_reads(tmp_path):
+    # B11 and B09 overflow on expm1(900); B12 and B10 do not read h, so
+    # they give their own verdict (both sides equal 900)
+    a = _write(tmp_path, "a.json", [[30.0]])
+    x = _write(tmp_path, "x.json", [[1.0]])
+    assert main(["check", "--bound", "B12", "--h", "expm1",
+                 "--A", a, "--B", a]) == 0
+    assert main(["check", "--bound", "B10", "--h", "expm1",
+                 "--A", a, "--B", a, "--X", x]) == 0
+
+
+def test_check_operands_of_different_sizes_exit_precondition(tmp_path):
+    a = _write(tmp_path, "a.json", np.eye(2))
+    b = _write(tmp_path, "b.json", np.eye(3))
+    assert main(["check", "--bound", "B14", "--A", a, "--B", b, "--X", a]) == 3
+    # B01 reads A alone
+    assert main(["check", "--bound", "B01", "--A", a, "--B", b]) == 0
+
+
 def test_check_json_skipped_report_is_strict_json(capsys, tmp_path):
     neg = _write(tmp_path, "neg.json", np.diag([1.0, -1.0, 1.0]))
     assert main(["check", "--bound", "L02", "--A", neg, "--B", neg,
