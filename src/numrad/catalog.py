@@ -25,7 +25,7 @@ records those violations honestly.  Claim text lives in each docstring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     NotSquareError,
     UnknownBoundIdError,
 )
-from .matrixcore import _require_square, apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
+from .matrixcore import apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
 from .meansfuncs import (
     compress,
     eval_fn,
@@ -218,31 +218,32 @@ def _pd_gate(p, q, what):
 # ---------------------------------------------------------------------------
 # Staged evaluation.  Each family's evaluator is a generator: it checks its
 # parameters, yields the matrices whose numerical radii it reads, receives
-# their values in the same order, and returns its reports as a tuple in
-# the order of the family's ids.  A campaign
+# their values in the same order, and returns its reports (or functions
+# that build them) as a tuple in the order of the family's ids.  A campaign
 # stages all its trials and computes every radius of one size in one
 # stacked `numerical_radius` call; a direct call is a campaign of one trial.
 
 
 def _radius_input(m) -> np.ndarray:
-    """``m`` validated as `numerical_radius` validates a matrix, so that an
-    input formed before its radius is computed raises where that call did."""
+    """``m`` validated as `numerical_radius` validates a matrix."""
     m = as_cmatrix(m, "A")
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"numerical radius needs square input, got {m.shape}")
     return m
 
 
-def _square_operands(*ms) -> list:
-    """Operands A, B, X (as many as given) as complex matrices, raising
-    NotSquareError or DimensionMismatchError unless all are n x n for one
-    n: the claims are about operators on one space."""
+def _operands(*ms, one_width=True) -> list:
+    """Operands A, B, X (as many as given) as complex matrices in the
+    claims' setting: A and B map a space H into K, one shape m x n, and X
+    acts on K, m x m; otherwise DimensionMismatchError.
+    B06-B10 take ``one_width=False``: A and B of different widths give P
+    and Q on different spaces, which their gate skips."""
     ms = [as_cmatrix(m, name) for m, name in zip(ms, "ABX")]
-    for m, name in zip(ms, "ABX"):
-        _require_square(m, name)
-        if m.shape != ms[0].shape:
-            raise DimensionMismatchError(
-                f"{name} has shape {m.shape}, A has shape {ms[0].shape}")
+    rows, width = ms[0].shape
+    for m, name in zip(ms[1:], "BX"):
+        cols = rows if name == "X" else width if one_width else m.shape[1]
+        if m.shape != (rows, cols):
+            raise DimensionMismatchError(f"{name} is {m.shape}, A is {ms[0].shape}")
     return ms
 
 
@@ -262,14 +263,17 @@ def radius_values(mats) -> list:
 
 def _stage(gen):
     """(radius inputs, finish) of a started staged evaluator: finish(values)
-    sends it the radii and returns its reports."""
+    sends it the radii and returns its reports, or with ``only`` the
+    report at that index alone.  An evaluator may return a function of no
+    arguments in a report's place, to build the report when it is read."""
     inputs = next(gen)
 
-    def finish(values):
+    def finish(values, only=None):
         try:
             gen.send(tuple(values))
         except StopIteration as done:
-            return done.value
+            reps = done.value if only is None else done.value[only:only + 1]
+            return tuple(r() if callable(r) else r for r in reps)
         raise RuntimeError("a staged evaluator yields once")
 
     return inputs, finish
@@ -303,23 +307,38 @@ def check_classics(a, b, x, p: float = 1.0):
 
 def _classics(a, b, x, p=1.0):
     """Staged B01-B05: w(A) serves B01 and B02, w(B*A) B03 and B04, w(AB*)
-    B04 and w(A*XB) B05."""
+    B04 and w(A*XB) B05.  The five read different operands, so each report
+    is built when read, and a radius input that `numerical_radius` would
+    reject (A not square, an overflow) is staged as zeros and raises in
+    the reports that read it: a single bound runs no sibling's formula."""
     _need_power(p)
-    a, b, x = _square_operands(a, b, x)
+    a, b, x = _operands(a, b, x)
     ah, bh = a.conj().T, b.conj().T
-    ba = _radius_input(bh @ a)
-    p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
-    rhs05 = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
-    w_a, w_ba, w_ab, w = yield a, ba, a @ bh, _radius_input(_target(a, b, x))
+    ins = a, bh @ a, a @ bh, _target(a, b, x)
+    ws = yield tuple(m if m.shape[0] == m.shape[1] and np.isfinite(m).all()
+                     else np.zeros((m.shape[1],) * 2) for m in ins)
+
+    def w(i):  # the radius of ins[i], raising as `numerical_radius` would
+        _radius_input(ins[i])
+        return ws[i]
+
+    def b05():
+        p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
+        rhs = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
+        return _report("B05", w(3) ** p, rhs, {"p": p})
+
     na = op_norm(a)
-    r03 = 0.5 * op_norm(psd_pow(ah @ a, p) + psd_pow(bh @ b, p))
-    r04 = 0.25 * op_norm(psd_pow(a @ ah, p) + psd_pow(b @ bh, p)) + 0.5 * w_ab ** p
     return (
-        _report("B01", abs(w_a - 0.75 * na), 0.25 * na, {"norm": na, "omega": w_a}),
-        _report("B02", w_a * w_a, 0.5 * op_norm(ah @ a + a @ ah), {"omega": w_a}),
-        _report("B03", w_ba ** p, r03, {"p": p}),
-        _report("B04", w_ba ** p, r04, {"p": p, "omega_cross": w_ab}),
-        _report("B05", w ** p, rhs05, {"p": p}),
+        lambda: _report("B01", abs(w(0) - 0.75 * na), 0.25 * na,
+                        {"norm": na, "omega": w(0)}),
+        lambda: _report("B02", w(0) * w(0), 0.5 * op_norm(ah @ a + a @ ah),
+                        {"omega": w(0)}),
+        lambda: _report("B03", w(1) ** p, 0.5 * op_norm(
+            psd_pow(ah @ a, p) + psd_pow(bh @ b, p)), {"p": p}),
+        lambda: _report("B04", w(1) ** p, 0.25 * op_norm(
+            psd_pow(a @ ah, p) + psd_pow(b @ bh, p)) + 0.5 * w(2) ** p,
+            {"p": p, "omega_cross": w(2)}),
+        b05,
     )
 
 
@@ -333,9 +352,7 @@ def _mean_pq(a, b, x, pair):
     abs_x, abs_xs, _ = moduli(x)
     fx = apply_fn(abs_x, lambda t: np.asarray(f.fn(t)) ** 2)
     gxs = apply_fn(abs_xs, lambda t: np.asarray(g.fn(t)) ** 2)
-    p_mat = _sym(b.conj().T @ fx @ b)
-    q_mat = _sym(a.conj().T @ gxs @ a)
-    return p_mat, q_mat
+    return _sym(b.conj().T @ fx @ b), _sym(a.conj().T @ gxs @ a)
 
 
 def _target(a, b, x):
@@ -362,7 +379,7 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
 def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     """Staged B06 and B06p; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "decreasing")
-    a, b, x = _square_operands(a, b, x)
+    a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
@@ -372,7 +389,7 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, ep), eval_fn(hf, eq), sigma, 0.5))
-    w, = yield _radius_input(_target(a, b, x)),
+    w, = yield _target(a, b, x),
     return (
         _report("B06", lhs, (sb.m * k / sb.M) * hf(w), params),
         _report("B06p", lhs, hf(w), params),
@@ -395,7 +412,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     """Staged B07; w(A*XB) only when the powered pair passes the gate."""
     hf = _need_kind(h, "decreasing")
     _need_weight(nu)
-    a, b, x = _square_operands(a, b, x)
+    a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     pw = psd_pow(p_mat, 1.0 / (1.0 - nu))
     qw = psd_pow(q_mat, 1.0 / nu)
@@ -407,7 +424,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
     lhs = op_norm(mean(eval_fn(hf, epw), eval_fn(hf, eqw), sigma, nu))
-    w, = yield _radius_input(_target(a, b, x)),
+    w, = yield _target(a, b, x),
     return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params),
 
 
@@ -425,7 +442,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B08-B10; w(A*XB) only when P and Q pass the gate."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
-    a, b, x = _square_operands(a, b, x)
+    a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = {"pair": str(pair), "h": hf.name, "p": p}
     sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
@@ -434,7 +451,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
-    w, = yield _radius_input(_target(a, b, x)),
+    w, = yield _target(a, b, x),
     c = sb.m * k / sb.M
     r08 = c * op_norm(mean(p_mat, q_mat, "harm", 0.5))
     r09 = 0.5 * c * op_norm(eval_fn(hf, ep) + eval_fn(hf, eq))
@@ -463,8 +480,8 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
     """Staged B11 and B12: w(A*B) and w(BA*)."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
-    a, b = _square_operands(a, b)
-    w, w_rev = yield _radius_input(a.conj().T @ b), _radius_input(b @ a.conj().T)
+    a, b = _operands(a, b)
+    w, w_rev = yield a.conj().T @ b, b @ a.conj().T
     prod = op_norm(a) * op_norm(b)
     return (
         _report("B11", hf(w), 0.5 * hf(prod) + 0.5 * hf(w_rev),
@@ -506,9 +523,9 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B13 and B15: w(A) and w(At), with |A| factorized once."""
     hf = _need_kind(h, "increasing")
     _need_power(p)
-    a, = _square_operands(a)
+    a = _radius_input(a)
     fa, ga, at = _aluthge_parts(a, pair)
-    w, wt = yield _radius_input(a), _radius_input(at)
+    w, wt = yield a, at
     r13 = 0.5 * op_norm(fa) ** p * op_norm(ga) ** p + 0.5 * wt ** p
     f2 = eval_fn(hf, _sym(fa @ fa))
     g2 = eval_fn(hf, _sym(ga @ ga))
@@ -527,10 +544,8 @@ def check_block(a, b, x) -> BoundReport:
 
 def _block(a, b, x):
     """Staged B14: w(A*XB), w(XBA*) and w(BA*X)."""
-    a, b, x = _square_operands(a, b, x)
-    w, w1, w2 = yield (_radius_input(_target(a, b, x)),
-                       _radius_input(x @ b @ a.conj().T),
-                       _radius_input(b @ a.conj().T @ x))
+    a, b, x = _operands(a, b, x)
+    w, w1, w2 = yield _target(a, b, x), x @ b @ a.conj().T, b @ a.conj().T @ x
     t1 = 0.25 * op_norm(a @ a.conj().T @ x + x @ b @ b.conj().T)
     return _report("B14", w, t1 + 0.5 * max(w1, w2),
                    {"omega_xba": w1, "omega_bax": w2}),
@@ -552,9 +567,8 @@ def check_symmetrized(a, b, x):
 
 def _symmetrized(a, b, x):
     """Staged B16a, B16b and B17: w(A*XB + B*XA) and w(X)."""
-    a, b, x = _square_operands(a, b, x)
-    w, wx = yield (_radius_input(_target(a, b, x) + _target(b, a, x)),
-                   _radius_input(x))
+    a, b, x = _operands(a, b, x)
+    w, wx = yield _target(a, b, x) + _target(b, a, x), x
     na, nb = op_norm(a), op_norm(b)
     cross = op_norm(a @ b.conj().T)
     r_a = (0.5 * (na * na + nb * nb) + cross) * wx
@@ -596,11 +610,11 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     hf = _need_kind(h, "increasing")
     _need_weight(nu)
     f, g = get_pair(pair)
-    a, b, x = _square_operands(a, b, x)
+    a, b, x = _operands(a, b, x)
     e_a, e_as, _ = moduli(a)
     dev, comm_ok = _commutation(e_as, a, x)
     r = spectral_radius(x)
-    w, = yield _radius_input(_target(a, b, x)),
+    w, = yield _target(a, b, x),
     f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
     s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
     s2 = apply_fn(e_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu))
@@ -1108,25 +1122,31 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
                    nu: float = 0.5, pair="sqrt", h=None, sigma="arith"):
     """Evaluate a single catalogued bound by ID, by running its family.
 
-    Operands and parameters the bound does not consume (`Family.reads`)
-    are ignored: an operand it does not read is replaced by zeros of A's
-    shape, and a grid key it does not read is left at the evaluator's
-    default, so nothing only a sibling reads can change or fail the
-    report.  Missing required operands raise InvalidSpecError.  ``h``
-    defaults to the family evaluator's own default: "inv" for the
-    decreasing-function family (B06-B07), "pow:1" elsewhere.
+    Operands and parameters the bound does not read (`Family.reads`) are
+    ignored: B is replaced by zeros of A's shape and X by zeros on A's
+    range, a grid key is left at the evaluator's default and dropped from
+    the report's params, and only the bound's own report is built.  So no
+    operand or key that only a sibling reads can change or fail the
+    report, and in B01-B05, whose ids read different operands, neither
+    can a sibling's formula.  Missing required operands raise
+    InvalidSpecError.  ``h`` defaults to the family evaluator's own
+    default: "inv" for the decreasing-function family (B06-B07), "pow:1"
+    elsewhere.
     """
     fam = family_of(bound_id)
-    reads = fam.reads_of(bound_id)
+    reads, need = fam.reads_of(bound_id), required_operands(bound_id)
     got = {"a": a, "b": b, "x": x}
-    missing = [n.upper() for n in fam.operands if n in reads and got[n] is None]
+    missing = [n.upper() for n in need if got[n] is None]
     if missing:
         raise InvalidSpecError(f"{bound_id} requires operand(s) {', '.join(missing)}")
-    mats = {n: got[n] if n in reads else np.zeros(np.shape(a))
-            for n in fam.operands}
+    mats = {n: got[n] if n in need else np.zeros(
+        np.shape(a)[:1] * 2 if n == "x" else np.shape(a)) for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
     params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
-    return evaluate_family(fam, mats, **params)[fam.ids.index(bound_id)]
+    inputs, finish = stage_family(fam, mats, **params)
+    rep, = finish(radius_values(inputs), fam.ids.index(bound_id))
+    return replace(rep, params={k: v for k, v in rep.params.items()
+                                if k in reads or k not in fam.grids})
 
 
 def compatible_signatures(bound_a: str, bound_b: str) -> None:

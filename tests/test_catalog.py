@@ -811,19 +811,57 @@ def test_a_bound_ignores_what_it_does_not_read(bid):
         assert (rep.lhs.hex(), rep.rhs.hex()) == bits, name
 
 
-def test_operands_must_be_square_and_of_one_size():
+def test_a_sibling_formula_that_overflows_fails_only_its_own_id():
+    # at ||A|| = ||B|| = 1e160, A*A and B*A overflow: B02-B04 raise, while
+    # B01 and, with a tiny X, B05 give the report their own formula gives
+    rng = np.random.default_rng(101)
+    a, b, x = 1e160 * _rand(rng, 3), 1e160 * _rand(rng, 3), 1e-300 * _rand(rng, 3)
+    rep = evaluate_bound("B01", a=a)
+    w, na = numerical_radius(a).value, np.linalg.norm(a, 2)
+    assert rep.status() == "pass"
+    assert (rep.lhs, rep.rhs) == pytest.approx((abs(w - 0.75 * na), 0.25 * na),
+                                               rel=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bid in ("B02", "B03", "B04"):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_bound(bid, a=a, b=b, x=x)
+        assert evaluate_bound("B05", a=a, b=b, x=x).status() == "pass"
+        with pytest.raises(ValueError, match="non-finite"):
+            check_classics(a, b, x)
+
+
+def test_a_report_shows_only_the_grid_keys_its_id_reads():
+    rng = np.random.default_rng(103)
+    a = _rand(rng, 3)
+    rep = evaluate_bound("B13", a=a, h="pow:2", pair="pow:0.3", p=2.0)
+    assert rep.params["pair"] == "pow:0.3" and rep.params["p"] == 2.0
+    assert "h" not in rep.params
+    assert check_aluthge(a, "pow:0.3", "pow:2", 2.0)[0].params["h"] == "pow:2"
+
+
+def test_operands_fit_the_claims_setting():
+    # A and B map H into K, one shape m x n, and X acts on K (m x m)
     rng = np.random.default_rng(89)
     a2, a3 = _rand(rng, 2), _rand(rng, 3)
-    wide = rng.standard_normal((2, 3))
+    wide, wide2 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
     with pytest.raises(DimensionMismatchError):
         check_block(a2, a3, a2)
     with pytest.raises(DimensionMismatchError):
         check_classics(a2, a2, a3)
-    # B11 and B12 are claims about operators on one space
-    with pytest.raises(NotSquareError):
-        check_mox(wide, wide)
+    with pytest.raises(DimensionMismatchError):
+        check_block(wide, wide2, wide)
     with pytest.raises(NotSquareError):
         check_aluthge(wide)
+    with pytest.raises(NotSquareError):
+        evaluate_bound("B01", a=wide)
+    # w(B*A), w(AB*), w(A*B), w(BA*) and w(A*XB) need no square A or B
+    for bid in ("B03", "B04", "B05", "B11", "B12", "B14"):
+        rep = evaluate_bound(bid, a=wide, b=wide2, x=a2)
+        assert rep.status() == "pass", bid
+    # B06-B10 let A and B differ in width: P = B*|X|B is then singular
+    # and the gate skips
+    for bid in ("B06", "B07", "B08", "B09", "B10"):
+        assert evaluate_bound(bid, a=a2, b=wide, x=a2).status() == "skip", bid
     # B01 does not read B, so B's shape does not matter
     assert evaluate_bound("B01", a=a2, b=a3).status() == "pass"
 

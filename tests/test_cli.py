@@ -294,6 +294,24 @@ def test_check_operands_of_different_sizes_exit_precondition(tmp_path):
     assert main(["check", "--bound", "B14", "--A", a, "--B", b, "--X", a]) == 3
     # B01 reads A alone
     assert main(["check", "--bound", "B01", "--A", a, "--B", b]) == 0
+    # A and B of one shape 2 x 3 map one space into another: w(B*A) reads
+    # them; B06's P = B*|X|B is singular when B alone is 2 x 3, so it skips
+    wide = _write(tmp_path, "wide.json", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
+    assert main(["check", "--bound", "B03", "--A", wide, "--B", wide]) == 0
+    assert main(["check", "--bound", "B06", "--A", a, "--B", wide, "--X", a]) == 4
+
+
+def test_check_a_sibling_overflow_does_not_fail_the_bound(tmp_path):
+    # A*A overflows at ||A|| = 1e160: B02 reads it, B01 does not
+    a = _write(tmp_path, "a.json", [[1e160, 0.0], [0.0, 1.0]])
+    assert main(["check", "--bound", "B01", "--A", a]) == 0
+
+
+def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):
+    a = _write(tmp_path, "a.json", [[1.0, 2.0], [0.0, 1.0]])
+    assert main(["check", "--bound", "B13", "--h", "pow:2", "--A", a,
+                 "--json"]) == 0
+    assert "h" not in json.loads(capsys.readouterr().out)["params"]
 
 
 def test_check_json_skipped_report_is_strict_json(capsys, tmp_path):
