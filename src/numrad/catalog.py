@@ -37,7 +37,18 @@ from .errors import (
     NotSquareError,
     UnknownBoundIdError,
 )
-from .matrixcore import apply_fn, as_cmatrix, herm_eigen, moduli, op_norm
+from .matrixcore import (
+    _as_stack,
+    _each,
+    _pair,
+    _pick,
+    _weights,
+    apply_fn,
+    as_cmatrix,
+    herm_eigen,
+    moduli,
+    op_norm,
+)
 from .meansfuncs import (
     compress,
     eval_fn,
@@ -171,8 +182,12 @@ def _skipped(bid, params=None, note="hypothesis not met") -> BoundReport:
                        dict(params or {}))
 
 
+def _adj(m):
+    return m.conj().swapaxes(-1, -2)
+
+
 def _sym(m):
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adj(m))
 
 
 def _need_kind(h, kind: str):
@@ -187,102 +202,170 @@ def _need_kind(h, kind: str):
 def _need_power(p):
     if not p >= 1.0:
         raise InvalidSpecError(f"power must be >= 1, got {p}")
+    return p
 
 
 def _need_weight(nu):
     if not 0.0 < nu < 1.0:
         raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
+    return nu
 
 
 def _commutation(mod, a, y):
     """(defect, ok) of the commutation hypothesis M Y = Y* M, with M =
     ``mod`` a modulus of A from `moduli`: the defect is ||M Y - Y* M||,
-    and ok when it is at most ALPHA_COMM_TOL (1 + ||A|| ||Y||)."""
+    and ok when it is at most ALPHA_COMM_TOL (1 + ||A|| ||Y||).  Of
+    stacks, arrays with one entry per member."""
     m = mod.compose()
-    dev = op_norm(m @ y - y.conj().T @ m)
+    dev = op_norm(m @ y - _adj(y) @ m)
     return dev, dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(y))
 
 
 def _pd_gate(p, q, what):
-    """(gate, eP, eQ) with P and Q factorized once: the gate is their
-    joint spectrum bounds when both are positive definite, else the skip
-    note naming ``what``."""
-    ep, eq = herm_eigen(p), herm_eigen(q)
+    """(eP, eQ, gate) of stacks P and Q, each factorized once: gate[j] is
+    member j's joint spectrum bounds when its P and Q are both positive
+    definite, else the skip note naming ``what``."""
+    ep, eq = _pair(herm_eigen, p, q)
     (ok_p, me_p), (ok_q, me_q) = pd_test(ep), pd_test(eq)
-    if not (ok_p and ok_q):
-        note = f"{what} not positive definite (min eigs {me_p:.3e}, {me_q:.3e})"
-        return note, ep, eq
-    return spectrum_bounds([ep, eq]), ep, eq
+    live = np.flatnonzero(ok_p & ok_q).tolist()
+    bounds = iter(spectrum_bounds([ep.take(live), eq.take(live)]) if live else ())
+    return ep, eq, [
+        next(bounds) if ok_p[j] and ok_q[j] else
+        f"{what} not positive definite (min eigs {me_p[j]:.3e}, {me_q[j]:.3e})"
+        for j in range(len(ok_p))]
+
+
+def _live(gate) -> list:
+    """The members that passed a gate, in order."""
+    return [j for j, g in enumerate(gate) if not isinstance(g, str)]
+
+
+def _fn_of(m, h):
+    """h(M), `eval_fn` with the matrix first, for `_pair`."""
+    return eval_fn(h, m)
+
+
+def _sum_of(fn, x, y, *args):
+    """fn(x, *args) + fn(y, *args), the two from one `_pair` call."""
+    fx, fy = _pair(fn, x, y, *args)
+    return fx + fy
+
+
+def _norms(*ms) -> list:
+    """||M|| of each member of each stack in ``ms``, one list per stack,
+    from one `op_norm` call when their members have one shape."""
+    if len({m.shape[1:] for m in ms}) > 1:
+        return [op_norm(m).tolist() for m in ms]
+    flat = op_norm(np.concatenate(ms)).tolist()
+    ends = np.cumsum([len(m) for m in ms]).tolist()
+    return [flat[e - len(m):e] for m, e in zip(ms, ends)]
+
+
+def _by_id(k, member):
+    """Reports of k members as one list per id, member(j) giving member
+    j's reports in id order."""
+    return tuple(map(list, zip(*map(member, range(k)))))
 
 
 # ---------------------------------------------------------------------------
-# Staged evaluation.  Each family's evaluator is a generator: it checks its
-# parameters, yields the matrices whose numerical radii it reads, receives
-# their values in the same order, and returns its reports (or functions
-# that build them) as a tuple in the order of the family's ids.  A campaign
-# stages all its trials and computes every radius of one size in one
-# stacked `numerical_radius` call; a direct call is a campaign of one trial.
+# Staged evaluation.  Each family's evaluator is a generator over a stack
+# of trials: it takes each operand as a (k, m, n) stack and each grid key
+# as a list of k values (or one value for all), checks every member's
+# parameters, yields once the stacks whose numerical radii it reads,
+# receives their values (one list per stack) and returns its reports, one
+# list of k per id in the order of the family's ids (or a function that
+# builds the list when read).  Each step of a formula is one stacked call
+# on all members that need it; a gate picks the members that pass it
+# before any function with a pole or a domain runs on them, and a scalar
+# function or exponent of a member is applied to its own eigenvalues.  So
+# member j's reports equal those of trial j evaluated alone bit for bit.
+# A campaign stages each family's trials of one dimension as one stack and
+# computes every radius of one size in one stacked `numerical_radius`
+# call; a direct call is a stack of one (`_alone`).
 
 
 def _radius_input(m) -> np.ndarray:
-    """``m`` validated as `numerical_radius` validates a matrix."""
-    m = as_cmatrix(m, "A")
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"numerical radius needs square input, got {m.shape}")
+    """``m``, a matrix or a stack, as a stack validated as
+    `numerical_radius` validates a matrix."""
+    m = _as_stack(m, "A")[0]
+    if m.shape[-2] != m.shape[-1]:
+        raise NotSquareError(f"numerical radius needs square input, got {m.shape[-2:]}")
     return m
 
 
 def _operands(*ms, one_width=True) -> list:
-    """Operands A, B, X (as many as given) as complex matrices in the
-    claims' setting: A and B map a space H into K, one shape m x n, and X
-    acts on K, m x m; otherwise DimensionMismatchError.
+    """Operand stacks A, B, X (as many as given) in the claims' setting:
+    A and B map a space H into K, one shape m x n, and X acts on K,
+    m x m; otherwise DimensionMismatchError.
     B06-B10 take ``one_width=False``: A and B of different widths give P
     and Q on different spaces, which their gate skips."""
-    ms = [as_cmatrix(m, name) for m, name in zip(ms, "ABX")]
-    rows, width = ms[0].shape
+    ms = [_as_stack(m, name)[0] for m, name in zip(ms, "ABX")]
+    rows, width = ms[0].shape[-2:]
     for m, name in zip(ms[1:], "BX"):
-        cols = rows if name == "X" else width if one_width else m.shape[1]
-        if m.shape != (rows, cols):
-            raise DimensionMismatchError(f"{name} is {m.shape}, A is {ms[0].shape}")
+        cols = rows if name == "X" else width if one_width else m.shape[-1]
+        if m.shape[-2:] != (rows, cols):
+            raise DimensionMismatchError(
+                f"{name} is {m.shape[-2:]}, A is {ms[0].shape[-2:]}")
     return ms
 
 
 def radius_values(mats) -> list:
     """w(M) of each matrix in ``mats``, in order, from one stacked
-    `numerical_radius` call per size."""
-    mats = [_radius_input(m) for m in mats]
+    `numerical_radius` call per size; an entry that is a (k, n, n) stack
+    gives the list of its k members' values, and a stack of no members
+    reads nothing."""
+    stacks = [m if np.ndim(m) == 3 and not len(m) else _radius_input(m) for m in mats]
     by_size = {}
-    for i, m in enumerate(mats):
-        by_size.setdefault(m.shape[0], []).append(i)
-    out = [0.0] * len(mats)
+    for i, m in enumerate(stacks):
+        if len(m):
+            by_size.setdefault(m.shape[-1], []).append(i)
+    values = [[] for _ in stacks]
     for idx in by_size.values():
-        for i, r in zip(idx, numerical_radius(np.stack([mats[i] for i in idx]))):
-            out[i] = r.value
-    return out
+        found = iter(numerical_radius(np.concatenate([stacks[i] for i in idx])))
+        for i in idx:
+            values[i] = [next(found).value for _ in range(len(stacks[i]))]
+    return [v if np.ndim(m) == 3 else v[0] for m, v in zip(mats, values)]
 
 
 def _stage(gen):
     """(radius inputs, finish) of a started staged evaluator: finish(values)
-    sends it the radii and returns its reports, or with ``only`` the
-    report at that index alone.  An evaluator may return a function of no
-    arguments in a report's place, to build the report when it is read."""
+    sends it the radii and returns one tuple of reports per member, in id
+    order, or with ``only`` of the report at that id index alone."""
     inputs = next(gen)
 
     def finish(values, only=None):
         try:
             gen.send(tuple(values))
         except StopIteration as done:
-            reps = done.value if only is None else done.value[only:only + 1]
-            return tuple(r() if callable(r) else r for r in reps)
+            cols = done.value if only is None else done.value[only:only + 1]
+            return list(zip(*(c() if callable(c) else c for c in cols)))
         raise RuntimeError("a staged evaluator yields once")
 
     return inputs, finish
 
 
-def _evaluate(gen):
-    """Run a staged evaluator as a campaign of one trial."""
-    inputs, finish = _stage(gen)
-    return finish(radius_values(inputs))
+def _alone(evaluator, operands, only=None, **params):
+    """A staged evaluator's reports on one trial, as a stack of one: its
+    matrices ``operands`` (named A, B, X in order) and one value per grid
+    key in ``params``; with ``only``, the report at that id index alone."""
+    stacks = [as_cmatrix(m, name)[None] for m, name in zip(operands, "ABX")]
+    inputs, finish = _stage(evaluator(*stacks, **{k: [v] for k, v in params.items()}))
+    return finish(radius_values(inputs), only)[0]
+
+
+def _quiet():
+    """No overflow warnings while forming matrices whose overflow raises
+    NonFiniteError where they are read."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _finite_square(m) -> np.ndarray:
+    """The stack m with zeros for each member that `numerical_radius`
+    would reject (all of them when m is not square)."""
+    if m.shape[-2] != m.shape[-1]:
+        return np.zeros((len(m),) + (m.shape[-1],) * 2)
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    return m if ok.all() else np.where(ok[:, None, None], m, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +385,63 @@ def check_classics(a, b, x, p: float = 1.0):
 
     B05's operators are the Q and P of B06-B10 for the sqrt pair.
     """
-    return _evaluate(_classics(a, b, x, p))
+    return _alone(_classics, (a, b, x), p=p)
 
 
 def _classics(a, b, x, p=1.0):
     """Staged B01-B05: w(A) serves B01 and B02, w(B*A) B03 and B04, w(AB*)
-    B04 and w(A*XB) B05.  The five read different operands, so each report
-    is built when read, and a radius input that `numerical_radius` would
-    reject (A not square, an overflow) is staged as zeros and raises in
-    the reports that read it: a single bound runs no sibling's formula."""
-    _need_power(p)
+    B04 and w(A*XB) B05.  The five read different operands, so each id's
+    reports are built when read, and a radius input that
+    `numerical_radius` would reject (A not square, an overflow) is staged
+    as zeros and raises in the reports that read it: a single bound runs
+    no sibling's formula.  Matrices that overflow are formed without a
+    warning (`_quiet`), since each raises NonFiniteError in its own
+    report."""
+    p = [_need_power(v) for v in _each(p, len(a))]
     a, b, x = _operands(a, b, x)
-    ah, bh = a.conj().T, b.conj().T
-    ins = a, bh @ a, a @ bh, _target(a, b, x)
-    ws = yield tuple(m if m.shape[0] == m.shape[1] and np.isfinite(m).all()
-                     else np.zeros((m.shape[1],) * 2) for m in ins)
+    ah, bh = _adj(a), _adj(b)
+    with _quiet():
+        ins = a, bh @ a, a @ bh, _target(a, b, x)
+    ws = yield tuple(_finite_square(m) for m in ins)
 
-    def w(i):  # the radius of ins[i], raising as `numerical_radius` would
+    def w(i):  # the radii of ins[i], raising as `numerical_radius` would
         _radius_input(ins[i])
         return ws[i]
 
-    def b05():
-        p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
-        rhs = 0.5 * op_norm(psd_pow(q_mat, p) + psd_pow(p_mat, p))
-        return _report("B05", w(3) ** p, rhs, {"p": p})
+    def b01():
+        return [_report("B01", abs(w0 - 0.75 * n), 0.25 * n, {"norm": n, "omega": w0})
+                for w0, n in zip(w(0), op_norm(a).tolist())]
 
-    na = op_norm(a)
-    return (
-        lambda: _report("B01", abs(w(0) - 0.75 * na), 0.25 * na,
-                        {"norm": na, "omega": w(0)}),
-        lambda: _report("B02", w(0) * w(0), 0.5 * op_norm(ah @ a + a @ ah),
-                        {"omega": w(0)}),
-        lambda: _report("B03", w(1) ** p, 0.5 * op_norm(
-            psd_pow(ah @ a, p) + psd_pow(bh @ b, p)), {"p": p}),
-        lambda: _report("B04", w(1) ** p, 0.25 * op_norm(
-            psd_pow(a @ ah, p) + psd_pow(b @ bh, p)) + 0.5 * w(2) ** p,
-            {"p": p, "omega_cross": w(2)}),
-        b05,
-    )
+    def b02():
+        w0 = w(0)
+        with _quiet():
+            gram = ah @ a + a @ ah
+        rhs = op_norm(gram).tolist()
+        return [_report("B02", v * v, 0.5 * r, {"omega": v}) for v, r in zip(w0, rhs)]
+
+    def b03():
+        w1 = w(1)
+        with _quiet():
+            grams = ah @ a, bh @ b
+        rhs = op_norm(_sum_of(psd_pow, *grams, p)).tolist()
+        return [_report("B03", v ** e, 0.5 * r, {"p": e}) for v, r, e in zip(w1, rhs, p)]
+
+    def b04():
+        w1 = w(1)
+        with _quiet():
+            grams = a @ ah, b @ bh
+        rhs = op_norm(_sum_of(psd_pow, *grams, p)).tolist()
+        w2 = w(2)
+        return [_report("B04", v ** e, 0.25 * r + 0.5 * c ** e, {"p": e, "omega_cross": c})
+                for v, r, c, e in zip(w1, rhs, w2, p)]
+
+    def b05():
+        with _quiet():
+            p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
+        rhs = op_norm(_sum_of(psd_pow, q_mat, p_mat, p)).tolist()
+        return [_report("B05", v ** e, 0.5 * r, {"p": e}) for r, v, e in zip(rhs, w(3), p)]
+
+    return b01, b02, b03, b04, b05
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +449,34 @@ def _classics(a, b, x, p=1.0):
 # Q = A* g^2(|X*|) A with a Kantorovich-weighted right side
 
 
+def _squared(f, e=2):
+    """t -> f(t)^e on eigenvalues."""
+    return lambda t: np.asarray(f.fn(t)) ** e
+
+
+def _count(m) -> int:
+    """The members of a stack; a matrix is one."""
+    return len(m) if np.ndim(m) == 3 else 1
+
+
+def _pair_fns(pair, k) -> tuple[list, list]:
+    """The f and the g of each of k members' pair, as two lists."""
+    fg = [get_pair(v) for v in _each(pair, k)]
+    return [f for f, _ in fg], [g for _, g in fg]
+
+
 def _mean_pq(a, b, x, pair):
-    f, g = get_pair(pair)
+    """(P, Q) of matrices A, B, X, or of stacks with one pair per member."""
+    f, g = _pair_fns(pair, _count(x))
     abs_x, abs_xs, _ = moduli(x)
-    fx = apply_fn(abs_x, lambda t: np.asarray(f.fn(t)) ** 2)
-    gxs = apply_fn(abs_xs, lambda t: np.asarray(g.fn(t)) ** 2)
-    return _sym(b.conj().T @ fx @ b), _sym(a.conj().T @ gxs @ a)
+    fx = apply_fn(abs_x, [_squared(v) for v in f])
+    gxs = apply_fn(abs_xs, [_squared(v) for v in g])
+    return _sym(_adj(b) @ fx @ b), _sym(_adj(a) @ gxs @ a)
 
 
 def _target(a, b, x):
     """A*XB, whose radius B05-B10, B14 and B18-B21 read."""
-    return a.conj().T @ x @ b
+    return _adj(a) @ x @ b
 
 
 def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
@@ -373,27 +492,48 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     right side uses w because the claim is quantified over unit vectors
     and h is decreasing, making the maximizing vector the binding case.
     """
-    return _evaluate(_mean_h(a, b, x, pair, h, sigma))
+    return _alone(_mean_h, (a, b, x), pair=pair, h=h, sigma=sigma)
+
+
+def _gated(gate, params, ids, live_reports):
+    """One list of reports per id: a member that failed the gate skips
+    every id with its note; live_reports(i, j, bounds) gives the reports
+    of member j, the i-th live one, whose params then record the bounds
+    (m, M, k)."""
+    at = iter(range(len(gate)))
+
+    def member(j):
+        g = gate[j]
+        if isinstance(g, str):
+            return tuple(_skipped(bid, params[j], g) for bid in ids)
+        params[j].update(m=g.m, M=g.M, k=g.kantorovich)
+        return live_reports(next(at), j, g)
+
+    return _by_id(len(gate), member)
 
 
 def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
-    """Staged B06 and B06p; w(A*XB) only when P and Q pass the gate."""
-    hf = _need_kind(h, "decreasing")
+    """Staged B06 and B06p; w(A*XB) of the members whose P and Q pass the
+    gate."""
+    k = len(a)
+    pair, sigma = _each(pair, k), _each(sigma, k)
+    hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
-    params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": 0.5}
-    sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
-    if isinstance(sb, str):
-        yield ()
-        return _skipped("B06", params, sb), _skipped("B06p", params, sb)
-    k = sb.kantorovich
-    params.update(m=sb.m, M=sb.M, k=k)
-    lhs = op_norm(mean(eval_fn(hf, ep), eval_fn(hf, eq), sigma, 0.5))
-    w, = yield _target(a, b, x),
-    return (
-        _report("B06", lhs, (sb.m * k / sb.M) * hf(w), params),
-        _report("B06p", lhs, hf(w), params),
-    )
+    params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": 0.5}
+              for pr, f, sg in zip(pair, hf, sigma)]
+    ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
+    live = _live(gate)
+    hl = _pick(hf, live)
+    lhs = op_norm(mean(*_pair(_fn_of, ep.take(live), eq.take(live), hl),
+                       _pick(sigma, live), 0.5)).tolist() if live else []
+    w, = yield _target(a, b, x)[live],
+
+    def reports(i, j, sb):
+        return (_report("B06", lhs[i], (sb.m * sb.kantorovich / sb.M) * hf[j](w[i]), params[j]),
+                _report("B06p", lhs[i], hf[j](w[i]), params[j]))
+
+    return _gated(gate, params, ("B06", "B06p"), reports)
 
 
 def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
@@ -405,27 +545,34 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
 
     where (m, M, k) come from the powered pair.  0 < nu < 1.
     """
-    return _evaluate(_mean_h_weighted(a, b, x, pair, h, sigma, nu))[0]
+    return _alone(_mean_h_weighted, (a, b, x), pair=pair, h=h, sigma=sigma, nu=nu)[0]
 
 
 def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
-    """Staged B07; w(A*XB) only when the powered pair passes the gate."""
-    hf = _need_kind(h, "decreasing")
-    _need_weight(nu)
+    """Staged B07; w(A*XB) of the members whose powered pair passes the
+    gate."""
+    k = len(a)
+    pair, sigma = _each(pair, k), _each(sigma, k)
+    hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
+    nu = [_need_weight(v) for v in _each(nu, k)]
     a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
-    pw = psd_pow(p_mat, 1.0 / (1.0 - nu))
-    qw = psd_pow(q_mat, 1.0 / nu)
-    params = {"pair": str(pair), "h": hf.name, "sigma": str(sigma), "nu": nu}
-    sb, epw, eqw = _pd_gate(pw, qw, "powered pair")
-    if isinstance(sb, str):
-        yield ()
-        return _skipped("B07", params, sb),
-    k = sb.kantorovich
-    params.update(m=sb.m, M=sb.M, k=k)
-    lhs = op_norm(mean(eval_fn(hf, epw), eval_fn(hf, eqw), sigma, nu))
-    w, = yield _target(a, b, x),
-    return _report("B07", lhs, (sb.m * k / sb.M) * hf(w * w), params),
+    pw, qw = _pair(psd_pow, p_mat, q_mat,
+                   [1.0 / (1.0 - v) for v in nu] + [1.0 / v for v in nu])
+    params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": v}
+              for pr, f, sg, v in zip(pair, hf, sigma, nu)]
+    epw, eqw, gate = _pd_gate(pw, qw, "powered pair")
+    live = _live(gate)
+    hl = _pick(hf, live)
+    lhs = op_norm(mean(*_pair(_fn_of, epw.take(live), eqw.take(live), hl),
+                       _pick(sigma, live), _pick(nu, live))).tolist() if live else []
+    w, = yield _target(a, b, x)[live],
+
+    def reports(i, j, sb):
+        return _report("B07", lhs[i], (sb.m * sb.kantorovich / sb.M) * hf[j](w[i] * w[i]),
+                       params[j]),
+
+    return _gated(gate, params, ("B07",), reports)
 
 
 def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
@@ -435,32 +582,35 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         B09:  h(w(A*XB))   <= (m k / 2M) || h(P) + h(Q) ||  (h increasing convex)
         B10:  w(A*XB)^p    <= (m k / 2M) || P^p + Q^p ||    (p >= 1)
     """
-    return _evaluate(_omega_harmonic(a, b, x, pair, h, p))
+    return _alone(_omega_harmonic, (a, b, x), pair=pair, h=h, p=p)
 
 
 def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
-    """Staged B08-B10; w(A*XB) only when P and Q pass the gate."""
-    hf = _need_kind(h, "increasing")
-    _need_power(p)
+    """Staged B08-B10; w(A*XB) of the members whose P and Q pass the gate.
+    The gate's factorizations of P and Q serve every formula."""
+    k = len(a)
+    pair = _each(pair, k)
+    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
+    p = [_need_power(v) for v in _each(p, k)]
     a, b, x = _operands(a, b, x, one_width=False)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
-    params = {"pair": str(pair), "h": hf.name, "p": p}
-    sb, ep, eq = _pd_gate(p_mat, q_mat, "P or Q")
-    if isinstance(sb, str):
-        yield ()
-        return tuple(_skipped(bid, params, sb) for bid in ("B08", "B09", "B10"))
-    k = sb.kantorovich
-    params.update(m=sb.m, M=sb.M, k=k)
-    w, = yield _target(a, b, x),
-    c = sb.m * k / sb.M
-    r08 = c * op_norm(mean(p_mat, q_mat, "harm", 0.5))
-    r09 = 0.5 * c * op_norm(eval_fn(hf, ep) + eval_fn(hf, eq))
-    r10 = 0.5 * c * op_norm(psd_pow(ep, p) + psd_pow(eq, p))
-    return (
-        _report("B08", w, r08, params),
-        _report("B09", hf(w), r09, params),
-        _report("B10", w ** p, r10, params),
-    )
+    params = [{"pair": str(pr), "h": f.name, "p": e} for pr, f, e in zip(pair, hf, p)]
+    ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
+    live = _live(gate)
+    w, = yield _target(a, b, x)[live],
+    if live:
+        ep, eq = ep.take(live), eq.take(live)
+        hl, pl = _pick(hf, live), _pick(p, live)
+        n08, n09, n10 = _norms(mean(ep, eq, "harm", 0.5), _sum_of(_fn_of, ep, eq, hl),
+                               _sum_of(psd_pow, ep, eq, pl))
+
+    def reports(i, j, sb):
+        c = sb.m * sb.kantorovich / sb.M
+        return (_report("B08", w[i], c * n08[i], params[j]),
+                _report("B09", hf[j](w[i]), 0.5 * c * n09[i], params[j]),
+                _report("B10", w[i] ** p[j], 0.5 * c * n10[i], params[j]))
+
+    return _gated(gate, params, ("B08", "B09", "B10"), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +623,31 @@ def check_mox(a, b, h="pow:1", p: float = 1.0):
         B11: h(w(A*B))  <= h(||A|| ||B||)/2 + h(w(BA*))/2
         B12: w(A*B)^p   <= (||A|| ||B||)^p / 2 + w(BA*)^p / 2
     """
-    return _evaluate(_mox(a, b, h, p))
+    return _alone(_mox, (a, b), h=h, p=p)
 
 
 def _mox(a, b, h="pow:1", p: float = 1.0):
     """Staged B11 and B12: w(A*B) and w(BA*)."""
-    hf = _need_kind(h, "increasing")
-    _need_power(p)
+    k = len(a)
+    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
+    p = [_need_power(v) for v in _each(p, k)]
     a, b = _operands(a, b)
-    w, w_rev = yield a.conj().T @ b, b @ a.conj().T
-    prod = op_norm(a) * op_norm(b)
-    return (
-        _report("B11", hf(w), 0.5 * hf(prod) + 0.5 * hf(w_rev),
-                {"h": hf.name, "omega_rev": w_rev}),
-        _report("B12", w ** p, 0.5 * prod ** p + 0.5 * w_rev ** p,
-                {"p": p, "omega_rev": w_rev}),
-    )
+    w, w_rev = yield _adj(a) @ b, b @ _adj(a)
+    na, nb = _pair(op_norm, a, b)
+    prod = (na * nb).tolist()
+
+    def member(j):
+        f, e, v, r = hf[j], p[j], w[j], w_rev[j]
+        return (_report("B11", f(v), 0.5 * f(prod[j]) + 0.5 * f(r),
+                        {"h": f.name, "omega_rev": r}),
+                _report("B12", v ** e, 0.5 * prod[j] ** e + 0.5 * r ** e,
+                        {"p": e, "omega_rev": r}))
+
+    return _by_id(k, member)
 
 
 def _aluthge_parts(a, pair):
-    f, g = get_pair(pair)
+    f, g = _pair_fns(pair, _count(a))
     abs_a, _, u = moduli(a)
     fa = eval_fn(f, abs_a)
     ga = eval_fn(g, abs_a)
@@ -516,39 +671,42 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
         B13: w(A)^p   <= ||f(|A|)||^p ||g(|A|)||^p / 2 + w(At)^p / 2
         B15: h(w(A))  <= || h(f^2(|A|)) + h(g^2(|A|)) || / 4 + h(w(At)) / 2
     """
-    return _evaluate(_aluthge(a, pair, h, p))
+    return _alone(_aluthge, (a,), pair=pair, h=h, p=p)
 
 
 def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B13 and B15: w(A) and w(At), with |A| factorized once."""
-    hf = _need_kind(h, "increasing")
-    _need_power(p)
+    k = len(a)
+    pair = _each(pair, k)
+    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
+    p = [_need_power(v) for v in _each(p, k)]
     a = _radius_input(a)
     fa, ga, at = _aluthge_parts(a, pair)
     w, wt = yield a, at
-    r13 = 0.5 * op_norm(fa) ** p * op_norm(ga) ** p + 0.5 * wt ** p
-    f2 = eval_fn(hf, _sym(fa @ fa))
-    g2 = eval_fn(hf, _sym(ga @ ga))
-    r15 = 0.25 * op_norm(f2 + g2) + 0.5 * hf(wt)
-    params = {"pair": str(pair), "h": hf.name, "p": p, "omega_transform": wt}
-    return (
-        _report("B13", w ** p, r13, params),
-        _report("B15", hf(w), r15, params),
-    )
+    nf, ng, n15 = _norms(fa, ga, _sum_of(_fn_of, _sym(fa @ fa), _sym(ga @ ga), hf))
+
+    def member(j):
+        f, e, v, t = hf[j], p[j], w[j], wt[j]
+        r13 = 0.5 * nf[j] ** e * ng[j] ** e + 0.5 * t ** e
+        r15 = 0.25 * n15[j] + 0.5 * f(t)
+        params = {"pair": str(pair[j]), "h": f.name, "p": e, "omega_transform": t}
+        return _report("B13", v ** e, r13, params), _report("B15", f(v), r15, params)
+
+    return _by_id(k, member)
 
 
 def check_block(a, b, x) -> BoundReport:
     """B14: w(A*XB) <= ||AA*X + XBB*|| / 4 + max(w(XBA*), w(BA*X)) / 2."""
-    return _evaluate(_block(a, b, x))[0]
+    return _alone(_block, (a, b, x))[0]
 
 
 def _block(a, b, x):
     """Staged B14: w(A*XB), w(XBA*) and w(BA*X)."""
     a, b, x = _operands(a, b, x)
-    w, w1, w2 = yield _target(a, b, x), x @ b @ a.conj().T, b @ a.conj().T @ x
-    t1 = 0.25 * op_norm(a @ a.conj().T @ x + x @ b @ b.conj().T)
-    return _report("B14", w, t1 + 0.5 * max(w1, w2),
-                   {"omega_xba": w1, "omega_bax": w2}),
+    w, w1, w2 = yield _target(a, b, x), x @ b @ _adj(a), b @ _adj(a) @ x
+    t1 = (0.25 * op_norm(a @ _adj(a) @ x + x @ b @ _adj(b))).tolist()
+    return [_report("B14", v, t + 0.5 * max(u1, u2), {"omega_xba": u1, "omega_bax": u2})
+            for v, t, u1, u2 in zip(w, t1, w1, w2)],
 
 
 def check_symmetrized(a, b, x):
@@ -562,23 +720,25 @@ def check_symmetrized(a, b, x):
     B16a's (arithmetic-geometric mean) nor B17's (since ||AB*|| <=
     ||A|| ||B||).  B17's report carries the margin over B16b.
     """
-    return _evaluate(_symmetrized(a, b, x))
+    return _alone(_symmetrized, (a, b, x))
 
 
 def _symmetrized(a, b, x):
     """Staged B16a, B16b and B17: w(A*XB + B*XA) and w(X)."""
     a, b, x = _operands(a, b, x)
     w, wx = yield _target(a, b, x) + _target(b, a, x), x
-    na, nb = op_norm(a), op_norm(b)
-    cross = op_norm(a @ b.conj().T)
-    r_a = (0.5 * (na * na + nb * nb) + cross) * wx
-    r_b = (na * nb + cross) * wx
-    r_17 = 2.0 * na * nb * wx
-    return (
-        _report("B16a", w, r_a, {"omega_x": wx}),
-        _report("B16b", w, r_b, {"omega_x": wx}),
-        _report("B17", w, r_17, {"omega_x": wx, "refinement_margin": r_17 - r_b}),
-    )
+    na, nb, cross = _norms(a, b, a @ _adj(b))
+
+    def member(j):
+        r_a = (0.5 * (na[j] * na[j] + nb[j] * nb[j]) + cross[j]) * wx[j]
+        r_b = (na[j] * nb[j] + cross[j]) * wx[j]
+        r_17 = 2.0 * na[j] * nb[j] * wx[j]
+        return (_report("B16a", w[j], r_a, {"omega_x": wx[j]}),
+                _report("B16b", w[j], r_b, {"omega_x": wx[j]}),
+                _report("B17", w[j], r_17,
+                        {"omega_x": wx[j], "refinement_margin": r_17 - r_b}))
+
+    return _by_id(len(w), member)
 
 
 # ---------------------------------------------------------------------------
@@ -602,52 +762,64 @@ def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
         B20: h(w(A*XB)^2) <= || (1-nu) h(r^2 T1^{1/(1-nu)}) + nu h(r^2 |A|^2) ||
         B21: w(A*XB)^{2p} <= r^{2p} || (1-nu) T1^{p/(1-nu)} + nu |A|^{2p} ||
     """
-    return _evaluate(_alpha(a, b, x, pair, h, nu))
+    return _alone(_alpha, (a, b, x), pair=pair, h=h, nu=nu)
+
+
+def _mix(c1, c2, x, y):
+    """c1 X + c2 Y of each member, c1 and c2 from `_weights`."""
+    return c1 * x + c2 * y
 
 
 def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     """Staged B18-B21: w(A*XB)."""
-    hf = _need_kind(h, "increasing")
-    _need_weight(nu)
-    f, g = get_pair(pair)
+    k = len(a)
+    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
+    nu = [_need_weight(v) for v in _each(nu, k)]
+    pair = _each(pair, k)
+    fs, gs = _pair_fns(pair, k)
     a, b, x = _operands(a, b, x)
     e_a, e_as, _ = moduli(a)
-    dev, comm_ok = _commutation(e_as, a, x)
-    r = spectral_radius(x)
+    dev, comm_ok = (v.tolist() for v in _commutation(e_as, a, x))
+    r = spectral_radius(x).tolist()
     w, = yield _target(a, b, x),
-    f2 = apply_fn(e_as, lambda t: np.asarray(f.fn(t)) ** 2)
-    s1 = psd_pow(_sym(b.conj().T @ f2 @ b), 1.0 / (1.0 - nu))
-    s2 = apply_fn(e_a, lambda t: np.asarray(g.fn(t)) ** (2.0 / nu))
-    base = {"pair": str(pair), "h": hf.name, "nu": nu, "r": r,
-            "commutation_defect": dev}
-    note = "" if comm_ok else f"commutation defect {dev:.3e} exceeds gate"
+    one_minus = [1.0 - v for v in nu]
+    f2 = apply_fn(e_as, [_squared(f) for f in fs])
+    s1 = psd_pow(_sym(_adj(b) @ f2 @ b), [1.0 / c for c in one_minus])
+    s2 = apply_fn(e_a, [_squared(g, 2.0 / v) for g, v in zip(gs, nu)])
+    cw, nw, rr = _weights(one_minus), _weights(nu), _weights([v * v for v in r])
+    r18 = op_norm(_mix(cw, nw, *_pair(_fn_of, rr * s1, rr * s2, hf))).tolist()
 
-    r18 = op_norm((1.0 - nu) * eval_fn(hf, r * r * s1)
-                  + nu * eval_fn(hf, r * r * s2))
-    rep18 = _report("B18", hf(w * w), r18, base, comm_ok, note)
+    small = [j for j in range(k) if r[j] <= 1.0 + 1e-12]
+    if small:
+        hs = _pick(hf, small)
+        n19 = iter(op_norm(_mix(_weights(_pick(one_minus, small)), _weights(_pick(nu, small)),
+                                *_pair(_fn_of, s1[small], s2[small], hs))).tolist())
 
-    if r <= 1.0 + 1e-12:
-        r19 = r * r * op_norm((1.0 - nu) * eval_fn(hf, s1)
-                              + nu * eval_fn(hf, s2))
-        rep19 = _report("B19", hf(w * w), r19, base, comm_ok, note)
-    else:
-        rep19 = _skipped("B19", base,
-                         f"spectral radius {r:.6g} exceeds 1" + (
-                             "; " + note if note else ""))
-
-    t1 = _sym(b.conj().T @ psd_pow(e_as, 2.0 * (1.0 - nu)) @ b)
-    s1p = psd_pow(t1, 1.0 / (1.0 - nu))
+    e_t1 = herm_eigen(_sym(_adj(b) @ psd_pow(e_as, [2.0 * c for c in one_minus]) @ b))
     s2p = psd_pow(e_a, 2.0)
-    r20 = op_norm((1.0 - nu) * eval_fn(hf, r * r * s1p)
-                  + nu * eval_fn(hf, r * r * s2p))
-    rep20 = _report("B20", hf(w * w), r20, base, comm_ok, note)
+    pe = [v.params[0] if v.name.startswith("pow:") else 1.0 for v in hf]
+    s1p, t1_21 = _pair(psd_pow, e_t1, e_t1, [1.0 / c for c in one_minus]
+                       + [e / c for e, c in zip(pe, one_minus)])
+    r20, n21 = _norms(_mix(cw, nw, *_pair(_fn_of, rr * s1p, rr * s2p, hf)),
+                      _mix(cw, nw, t1_21, psd_pow(e_a, [2.0 * e for e in pe])))
 
-    p = hf.params[0] if hf.name.startswith("pow:") else 1.0
-    r21 = r ** (2.0 * p) * op_norm(
-        (1.0 - nu) * psd_pow(t1, p / (1.0 - nu)) + nu * psd_pow(e_a, 2.0 * p)
-    )
-    rep21 = _report("B21", w ** (2.0 * p), r21, {**base, "p": p}, comm_ok, note)
-    return rep18, rep19, rep20, rep21
+    def member(j):
+        f, rj, e, ok = hf[j], r[j], pe[j], comm_ok[j]
+        base = {"pair": str(pair[j]), "h": f.name, "nu": nu[j], "r": rj,
+                "commutation_defect": dev[j]}
+        note = "" if ok else f"commutation defect {dev[j]:.3e} exceeds gate"
+        lhs = f(w[j] * w[j])
+        if rj <= 1.0 + 1e-12:
+            rep19 = _report("B19", lhs, rj * rj * next(n19), base, ok, note)
+        else:
+            rep19 = _skipped("B19", base, f"spectral radius {rj:.6g} exceeds 1" + (
+                "; " + note if note else ""))
+        return (_report("B18", lhs, r18[j], base, ok, note), rep19,
+                _report("B20", lhs, r20[j], base, ok, note),
+                _report("B21", w[j] ** (2.0 * e), rj ** (2.0 * e) * n21[j],
+                        {**base, "p": e}, ok, note))
+
+    return _by_id(k, member)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +871,7 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
-    sb = _pd_gate(a, b, "operands")[0]
+    sb = _pd_gate(a[None], b[None], "operands")[2][0]
     if isinstance(sb, str):
         return LoewnerReport("L02", float("nan"), False, False,
                              "operands must be positive definite", params)
@@ -1018,10 +1190,11 @@ class Family:
     ``name`` salts the campaign seeds, so it never changes.  ``evaluator``
     is the name in this module of the family's staged evaluator, looked
     up at call time, so a wrapper set on the module attribute sees every
-    call.  It takes ``operands`` positionally and each key of ``grids`` as
-    a keyword, yields once the matrices whose radii it reads (classics:
-    A, B*A, AB*, A*XB; block: A*XB, XBA*, BA*X; ...), and returns its
-    reports.  Campaigns cycle each grid by trial index.  ``commuting_x``
+    call.  It takes ``operands`` positionally, as stacks of trials, and
+    each key of ``grids`` as a keyword, one value per trial; it yields
+    once the stacks whose radii it reads (classics: A, B*A, AB*, A*XB;
+    block: A*XB, XBA*, BA*X; ...), and returns its reports, one list per
+    id.  Campaigns cycle each grid by trial index.  ``commuting_x``
     marks a family whose hypothesis needs X to commute with |A*|.
 
     ``reads`` maps an id to the operands and grid keys its report depends
@@ -1092,10 +1265,13 @@ def family_of(bound_id: str) -> Family:
 
 
 def stage_family(family: Family, mats: dict, **params):
-    """Start evaluating a family on ``mats`` (operand name -> matrix).
+    """Start evaluating a family on a stack of k trials: ``mats`` maps each
+    operand name to a (k, m, n) stack, and each grid key in ``params`` to
+    a list of k values, one per trial (or to one value for all).
 
-    Returns (the matrices whose radii it reads, finish): finish(their
-    values, in order) returns one report per id, in ``family.ids`` order.
+    Returns (the stacks whose radii it reads, finish): finish(their
+    values, one list per stack, in order) returns one tuple of reports
+    per trial, each in ``family.ids`` order.
     """
     return _stage(globals()[family.evaluator](
         *(mats[n] for n in family.operands), **params))
@@ -1103,12 +1279,12 @@ def stage_family(family: Family, mats: dict, **params):
 
 def evaluate_family(family: Family, mats: dict, **params) -> tuple:
     """Evaluate a family once on ``mats`` (operand name -> matrix), as a
-    campaign of one trial.
+    stack of one trial.
 
     Returns one report per id, in ``family.ids`` order.
     """
-    inputs, finish = stage_family(family, mats, **params)
-    return finish(radius_values(inputs))
+    return _alone(globals()[family.evaluator],
+                  [mats[n] for n in family.operands], **params)
 
 
 def required_operands(bound_id: str) -> tuple[str, ...]:
@@ -1143,8 +1319,8 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
         np.shape(a)[:1] * 2 if n == "x" else np.shape(a)) for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
     params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
-    inputs, finish = stage_family(fam, mats, **params)
-    rep, = finish(radius_values(inputs), fam.ids.index(bound_id))
+    rep, = _alone(globals()[fam.evaluator], [mats[n] for n in fam.operands],
+                  fam.ids.index(bound_id), **params)
     return replace(rep, params={k: v for k, v in rep.params.items()
                                 if k in reads or k not in fam.grids})
 

@@ -22,6 +22,10 @@ class NotPositiveDefiniteError(NumradError):
     """Matrix is not positive definite to working precision."""
 
 
+class NonFiniteError(NumradError, ValueError):
+    """A matrix, given or formed on the way, has NaN or infinite entries."""
+
+
 class DimensionMismatchError(NumradError):
     """Operand shapes are incompatible."""
 

@@ -68,9 +68,10 @@ ENSEMBLE_KINDS = ("ginibre", "positive-definite")
 
 U_GRID = (0.25, 0.5, 0.75, 1.0)  # target spectral radii for scaled-X trials
 
-# trials that a campaign stages at once, of every family: their radii of
-# one dimension come from one stacked call, and the memory that staged
-# trials hold stays that of this many, however long the campaign
+# trials that a campaign stages at once, of every family: each family's
+# trials of one dimension are evaluated as one stack, their radii of one
+# dimension come from one stacked call, and the memory that staged trials
+# hold stays that of this many, however long the campaign
 _STAGED_TRIALS = 256
 
 
@@ -261,19 +262,25 @@ def _draw(cfg: CampaignConfig, operands, salt: int, t: int, commuting: bool):
 
 def _trials(cfg, family, salt: str, commuting: bool, trials) -> list:
     """Draw the inputs of ``family``'s trials t in ``trials`` and stage its
-    evaluation on them.
+    evaluation on them, one stack per dimension.
 
     Trial t's inputs come from `_draw` with salt crc32(``salt``), and each
-    of the family's grids is cycled by t.  Returns one (t, dim, seed,
-    operand name -> matrix, radius inputs, finish) per trial, the last two
-    from `catalog.stage_family`.
+    of the family's grids is cycled by t.  Returns one (draws, radius
+    inputs, finish) per dimension, the last two from
+    `catalog.stage_family` on the stacked draws, which are (t, dim, seed,
+    operand name -> matrix) in trial order.
     """
     salt_int = zlib.crc32(salt.encode())
-    out = []
+    groups = {}
     for t in trials:
         dim, seed, mats = _draw(cfg, family.operands, salt_int, t, commuting)
-        params = {key: grid[t % len(grid)] for key, grid in family.grids.items()}
-        out.append((t, dim, seed, mats, *stage_family(family, mats, **params)))
+        groups.setdefault(dim, []).append((t, dim, seed, mats))
+    out = []
+    for draws in groups.values():
+        mats = {n: np.stack([d[3][n] for d in draws]) for n in family.operands}
+        params = {key: [grid[d[0] % len(grid)] for d in draws]
+                  for key, grid in family.grids.items()}
+        out.append((draws, *stage_family(family, mats, **params)))
     return out
 
 
@@ -441,11 +448,13 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     status "pass"/"fail" by the slack tolerance, or "skip" when the
     hypothesis gate reports false.  Identical configs produce identical
     reports.  Trials are drawn and staged, all families together, in
-    blocks of _STAGED_TRIALS before any of the block is finished, so that
-    every radius a block reads at one dimension comes from one stacked
-    `numerical_radius` call (a campaign of up to 256 trials is one
-    block); each row equals its trial evaluated alone
-    (`catalog.evaluate_family`) bit for bit.
+    blocks of _STAGED_TRIALS before any of the block is finished: each
+    family's trials of one dimension are evaluated as one stack
+    (`catalog.stage_family`), and every radius a block reads at one
+    dimension comes from one stacked `numerical_radius` call (a campaign
+    of up to 256 trials is one block).  Rows come out in trial order, and
+    each equals its trial evaluated alone (`catalog.evaluate_family`) bit
+    for bit.
 
     ``with_info`` appends verdict-free rows probing each commuting-X
     family (B18-B21) on unconstrained X, tagged status "info".
@@ -473,33 +482,37 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     failures = [[] for _ in runs]
     for first in range(0, cfg.trials, _STAGED_TRIALS):
         block = range(first, min(first + _STAGED_TRIALS, cfg.trials))
-        staged = [(i, trial) for i, (family, _, _, salt, commuting) in enumerate(runs)
-                  for trial in _trials(cfg, family, salt, commuting, block)]
-        values = iter(radius_values([m for _, trial in staged for m in trial[4]]))
-        for i, (t, dim, seed, inputs, radius_inputs, finish) in staged:
-            family, wanted, info = runs[i][:3]
+        staged = [(i, group) for i, (family, _, _, salt, commuting) in enumerate(runs)
+                  for group in _trials(cfg, family, salt, commuting, block)]
+        values = iter(radius_values([m for _, group in staged for m in group[1]]))
+        done = [{} for _ in runs]  # trial -> (draw, reports), per run
+        for i, (draws, radius_inputs, finish) in staged:
             reports = finish([next(values) for _ in radius_inputs])
-            for bid, rep in zip(family.ids, reports):
-                if bid not in wanted:
-                    continue
-                status = "info" if info else rep.status(cfg.atol, cfg.rtol)
-                if status == "fail":
-                    failures[i].append({
-                        "bound_id": bid,
-                        "trial": t,
-                        "dim": dim,
-                        "seed": seed,
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                        "slack": rep.slack,
-                        "params": {k: rep.params[k] for k in family.grids
-                                   if k in rep.params},
-                        "inputs": {
-                            name.upper(): matrix_to_doc(inputs[name])
-                            for name in required_operands(bid)
-                        },
-                    })
-                rows[i].append(_row(bid, t, dim, seed, rep, status))
+            done[i].update((d[0], (d, r)) for d, r in zip(draws, reports))
+        for i, (family, wanted, info, _, _) in enumerate(runs):
+            for t in block:
+                (_, dim, seed, inputs), reports = done[i][t]
+                for bid, rep in zip(family.ids, reports):
+                    if bid not in wanted:
+                        continue
+                    status = "info" if info else rep.status(cfg.atol, cfg.rtol)
+                    if status == "fail":
+                        failures[i].append({
+                            "bound_id": bid,
+                            "trial": t,
+                            "dim": dim,
+                            "seed": seed,
+                            "lhs": rep.lhs,
+                            "rhs": rep.rhs,
+                            "slack": rep.slack,
+                            "params": {k: rep.params[k] for k in family.grids
+                                       if k in rep.params},
+                            "inputs": {
+                                name.upper(): matrix_to_doc(inputs[name])
+                                for name in required_operands(bid)
+                            },
+                        })
+                    rows[i].append(_row(bid, t, dim, seed, rep, status))
     for (_, _, info, _, _), out, failed in zip(runs, rows, failures):
         (report.info_rows if info else report.rows).extend(out)
         report.failures.extend(failed)

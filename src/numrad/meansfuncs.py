@@ -13,6 +13,10 @@ Pairs (f, g) with f(t) g(t) = t for the Cauchy-Schwarz-type bounds:
 
 The registry is closed: anything else raises InvalidSpecError, so
 campaign configurations stay reproducible across versions.
+
+`eval_fn`, `psd_pow`, `pd_test`, `mean` and `spectrum_bounds` also take
+a (k, n, n) stack (or its HermEigen), as `matrixcore.apply_fn` does, with
+one function, exponent, mean or weight per member when given as a list.
 """
 
 from __future__ import annotations
@@ -29,7 +33,20 @@ from .errors import (
     NotIsometryError,
     NotPositiveDefiniteError,
 )
-from .matrixcore import _fn_values, _pd_ok, apply_fn, as_cmatrix, herm_eigen, op_norm
+from .matrixcore import (
+    HermEigen,
+    _as_stack,
+    _each,
+    _fn_values,
+    _pair,
+    _pd_ok,
+    _pick,
+    _weights,
+    apply_fn,
+    as_cmatrix,
+    herm_eigen,
+    op_norm,
+)
 
 __all__ = [
     "ScalarFn",
@@ -176,47 +193,66 @@ def list_fns() -> list[str]:
     return sorted(_BUILDERS)
 
 
+def _mapped(v, fn):
+    """fn of each entry of a list of per-member values, or of one shared
+    value."""
+    return [fn(x) for x in v] if isinstance(v, list) else fn(v)
+
+
 def eval_fn(spec, h) -> np.ndarray:
     """Apply a registered scalar function to a Hermitian matrix or its
-    HermEigen.
+    HermEigen, or to each member of a stack (``spec`` may then list one
+    function per member).
 
     `matrixcore.apply_fn` with the function's own domain and name, and a
     pole when ``strict_lo`` is set: inv-type functions then raise
     NotPositiveDefiniteError unless the argument is positive definite.
     """
-    f = get_fn(spec)
-    return apply_fn(h, f.fn, f.domain, f.name, pole=f.strict_lo)
+    f = _mapped(spec, get_fn)
+    return apply_fn(h, _mapped(f, lambda g: g.fn), _mapped(f, lambda g: g.domain),
+                    _mapped(f, lambda g: g.name), _mapped(f, lambda g: g.strict_lo))
 
 
-def pd_test(p) -> tuple[bool, float]:
+def pd_test(p):
     """(whether P is positive definite, its smallest eigenvalue).
 
     P is a Hermitian matrix or its HermEigen.  The rule is
     `matrixcore._pd_ok`: min eig > 1e-10 * max |eig|.  An empty matrix is
-    not positive definite; its smallest eigenvalue reads 0.
+    not positive definite; its smallest eigenvalue reads 0.  Of a stack,
+    the two are arrays with one entry per member.
     """
     w = herm_eigen(p).eigenvalues
-    return _pd_ok(w), float(w[0]) if w.size else 0.0
+    low = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
+    return _pd_ok(w), low if w.ndim > 1 else float(low)
 
 
-def psd_pow(p, s: float) -> np.ndarray:
-    """Power P^s of a positive-semidefinite matrix or its HermEigen.
+def _power(s):
+    return lambda t: t ** s
+
+
+def psd_pow(p, s) -> np.ndarray:
+    """Power P^s of a positive-semidefinite matrix or its HermEigen, or
+    of each member of a stack (``s`` may then list one exponent per
+    member).
 
     `matrixcore.apply_fn` of t^s on [0, inf): round-off eigenvalues just
     below zero are clamped to zero, and a negative exponent is a pole, so
     P must then be positive definite.
     """
-    return apply_fn(p, lambda t: t ** s, (0.0, np.inf), f"pow:{s:g}",
-                    pole=s < 0)
+    return apply_fn(p, _mapped(s, _power), (0.0, np.inf),
+                    _mapped(s, "pow:{:g}".format), _mapped(s, lambda e: e < 0))
 
 
 def require_pd(p, name: str = "P"):
-    """Return P (a Hermitian matrix or its HermEigen) if it is positive
-    definite by `pd_test`, else raise NotPositiveDefiniteError."""
+    """Return P (a Hermitian matrix or its HermEigen, or a stack) if it is
+    positive definite by `pd_test` (each member of a stack), else raise
+    NotPositiveDefiniteError."""
     ok, min_eig = pd_test(p)
-    if not ok:
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
         raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (min eigenvalue {min_eig:.6g})"
+            f"{name} is not positive definite "
+            f"(min eigenvalue {np.reshape(min_eig, -1)[bad[0]]:.6g})"
         )
     return p
 
@@ -238,35 +274,105 @@ def mean(a, b, kind=MeanKind.ARITH, nu: float = 0.5) -> np.ndarray:
 
     nu must lie in [0, 1].  The harmonic and geometric means require
     both operands positive definite; the arithmetic mean accepts any
-    Hermitian pair.
+    Hermitian pair.  A HermEigen stands for the matrix it factorizes and
+    is not factorized again.  A and B may be (k, n, n) stacks, with
+    ``kind`` and ``nu`` lists of one value per member; each step is one
+    stacked call on the members that take it.
     """
+    kinds = _mapped(kind, _mean_kind)
+    for w in nu if isinstance(nu, list) else [nu]:
+        if not 0.0 <= w <= 1.0:
+            raise InvalidSpecError(f"mean weight must lie in [0, 1], got {w}")
+    (a, a_flat), (b, b_flat) = _mean_operand(a, "A"), _mean_operand(b, "B")
+    if _shape(a) != _shape(b) or a_flat != b_flat:
+        raise InvalidSpecError(
+            f"mean operands differ in shape: {_shape(a)} vs {_shape(b)}")
+    k = _shape(a)[0]
+    kinds, nu = _each(kinds, k), _each(nu, k)
+    arith = [j for j in range(k) if kinds[j] is MeanKind.ARITH]
+    pd = [j for j in range(k) if kinds[j] is not MeanKind.ARITH]
+    parts = []
+    if arith:
+        parts.append((arith, _arith(_take(a, arith), _take(b, arith), _pick(nu, arith))))
+    if pd:
+        ea = require_pd(herm_eigen(_take(a, pd)), "A")
+        eb = require_pd(herm_eigen(_take(b, pd)), "B")
+        parts.append((pd, _pd_means(ea, eb, _take(b, pd), _pick(kinds, pd), _pick(nu, pd))))
+    if len(parts) == 1:
+        out = parts[0][1]
+    else:
+        out = np.empty(_shape(a), np.complex128)
+        for idx, part in parts:
+            out[idx] = part
+    return out[0] if a_flat else out
+
+
+def _mean_kind(kind) -> MeanKind:
     try:
-        kind = MeanKind(kind)
+        return MeanKind(kind)
     except ValueError:
         raise InvalidSpecError(
             f"unknown mean {kind!r}; known: arith, geom, harm"
         ) from None
-    if not 0.0 <= nu <= 1.0:
-        raise InvalidSpecError(f"mean weight must lie in [0, 1], got {nu}")
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    if a.shape != b.shape:
-        raise InvalidSpecError(f"mean operands differ in shape: {a.shape} vs {b.shape}")
 
-    if kind is MeanKind.ARITH:
-        return (1.0 - nu) * a + nu * b
 
-    ea = require_pd(herm_eigen(a), "A")
-    eb = require_pd(herm_eigen(b), "B")
-    if kind is MeanKind.HARM:
-        inv_mix = (1.0 - nu) * psd_pow(ea, -1.0) + nu * psd_pow(eb, -1.0)
-        return psd_pow(inv_mix, -1.0)
+def _mean_operand(m, name):
+    """(a mean operand as a stack or a stacked HermEigen, whether it was
+    one matrix)."""
+    if isinstance(m, HermEigen):
+        flat = m.eigenvalues.ndim == 1
+        return (HermEigen(m.eigenvalues[None], m.eigenvectors[None])
+                if flat else m), flat
+    return _as_stack(m, name)
 
-    # geometric
-    a_half = psd_pow(ea, 0.5)
-    a_negh = psd_pow(ea, -0.5)
-    core = psd_pow(a_negh @ b @ a_negh, nu)
-    return a_half @ core @ a_half
+
+def _shape(m):
+    return m.eigenvectors.shape if isinstance(m, HermEigen) else m.shape
+
+
+def _take(m, idx):
+    return m.take(idx) if isinstance(m, HermEigen) else m[idx] if len(idx) < len(m) else m
+
+
+def _arith(a, b, nu):
+    a, b = (m.compose() if isinstance(m, HermEigen) else m for m in (a, b))
+    return (1.0 - _weights(nu)) * a + _weights(nu) * b
+
+
+def _pd_means(ea, eb, b, kinds, nu):
+    """The harmonic or geometric mean of each member (``kinds``), from
+    eA and eB of positive definite A and B.  Each mean is a power of one
+    matrix: ((1-nu) A^-1 + nu B^-1)^-1, or (A^(-1/2) B A^(-1/2))^nu inside
+    A^(1/2) . A^(1/2); the powers of all members are one stacked call."""
+    harm = [i for i, kd in enumerate(kinds) if kd is MeanKind.HARM]
+    geom = [i for i, kd in enumerate(kinds) if kd is MeanKind.GEOM]
+    inner, power = [], []
+    if harm:
+        inv_a, inv_b = _pair(psd_pow, ea.take(harm), eb.take(harm), -1.0)
+        w = _weights(_pick(nu, harm))
+        inner.append((1.0 - w) * inv_a + w * inv_b)
+        power += [-1.0] * len(harm)
+    if geom:
+        eg, g = ea.take(geom), len(geom)
+        a_half, a_negh = _pair(psd_pow, eg, eg, [0.5] * g + [-0.5] * g)
+        bg = _take(b, geom)
+        if isinstance(bg, HermEigen):
+            bg = bg.compose()
+        inner.append(a_negh @ bg @ a_negh)
+        # the exponents stay Python floats: t ** 0.5 takes numpy's sqrt
+        # path, t ** np.float64(0.5) does not, and the two differ in the
+        # last bit
+        power += _pick(nu, geom)
+    powered = psd_pow(inner[0] if len(inner) == 1 else np.concatenate(inner), power)
+    if not geom:
+        return powered
+    h = len(harm)
+    geo = a_half @ powered[h:] @ a_half
+    if not harm:
+        return geo
+    out = np.empty(powered.shape, np.complex128)
+    out[harm], out[geom] = powered[:h], geo
+    return out
 
 
 def kantorovich(m: float, big_m: float) -> float:
@@ -292,26 +398,33 @@ class SpectrumBounds:
         return kantorovich(self.m, self.M)
 
 
-def spectrum_bounds(mats) -> SpectrumBounds:
+def spectrum_bounds(mats):
     """Joint spectral bounds of a Hermitian matrix, or of a list of
     Hermitian matrices or their HermEigens.
 
     Returns the smallest eigenvalue across the family as ``m`` and the
     largest as ``M``; these are the tightest constants with
-    m I <= X <= M I for every member X.
+    m I <= X <= M I for every member X.  An entry of the list may be a
+    (k, n, n) stack or a stacked HermEigen: the result is then the list
+    of k SpectrumBounds, member j's over the j-th members of the stacked
+    entries and the whole of the others.
     """
     if isinstance(mats, np.ndarray) and mats.ndim == 2:
         mats = [mats]
-    lows, highs = [], []
+    lows, highs, k = [], [], None
     for x in mats:
-        e = herm_eigen(x)
-        if e.eigenvalues.size == 0:
-            continue
-        lows.append(float(e.eigenvalues[0]))
-        highs.append(float(e.eigenvalues[-1]))
+        w = herm_eigen(x).eigenvalues
+        if w.ndim > 1:
+            k = w.shape[0]
+        if w.shape[-1]:
+            lows.append(w[..., 0])
+            highs.append(w[..., -1])
     if not lows:
         raise HypothesisViolatedError("spectrum_bounds of an empty family")
-    return SpectrumBounds(min(lows), max(highs))
+    if k is None:
+        return SpectrumBounds(min(map(float, lows)), max(map(float, highs)))
+    lows, highs = ([np.broadcast_to(v, (k,)).tolist() for v in vs] for vs in (lows, highs))
+    return [SpectrumBounds(min(lo), max(hi)) for lo, hi in zip(zip(*lows), zip(*highs))]
 
 
 def compress(a, v) -> np.ndarray:

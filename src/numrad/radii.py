@@ -349,12 +349,12 @@ def numerical_radius_oracle(
     return float(best)
 
 
-def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus r(A)."""
+def spectral_radius(a):
+    """Largest eigenvalue modulus r(A); of a (k, n, n) stack, the array of
+    its members' radii, from one stacked eigenvalue call."""
     ev = general_eigenvalues(a)
-    if ev.size == 0:
-        return 0.0
-    return float(np.max(np.abs(ev)))
+    r = np.abs(ev).max(axis=-1, initial=0.0)
+    return float(r) if ev.ndim == 1 else r
 
 
 def omega_blockdiag(blocks) -> float:

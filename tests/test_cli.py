@@ -307,6 +307,14 @@ def test_check_a_sibling_overflow_does_not_fail_the_bound(tmp_path):
     assert main(["check", "--bound", "B01", "--A", a]) == 0
 
 
+def test_check_non_finite_intermediate_exits_precondition(capsys, tmp_path):
+    # A*A overflows at A = [1e160]: a one-line precondition error, exit 3
+    a = _write(tmp_path, "a.json", [[1e160]])
+    assert main(["check", "--bound", "B02", "--A", a]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: A contains non-finite entries"]
+
+
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):
     a = _write(tmp_path, "a.json", [[1.0, 2.0], [0.0, 1.0]])
     assert main(["check", "--bound", "B13", "--h", "pow:2", "--A", a,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -256,14 +257,20 @@ def test_campaign_records_replayable_failures():
     assert replay_failure(rec3).slack == rec["slack"]
 
 
-@pytest.mark.parametrize("block", [None, 3])
-def test_campaign_rows_equal_single_trial_evaluation(block, monkeypatch):
-    # a campaign stages its trials in blocks and takes all radii of one
+@pytest.mark.parametrize("block, trials, dims", [
+    pytest.param(None, 8, (1, 2, 3, 5, 16), id="None"),
+    pytest.param(3, 8, (1, 2, 3, 5, 16), id="3"),
+    # groups of 12: every grid point, skipped and passing members mixed
+    pytest.param(None, 24, (2, 3), id="groups-of-12"),
+])
+def test_campaign_rows_equal_single_trial_evaluation(block, trials, dims, monkeypatch):
+    # a campaign stages its trials in blocks, evaluates each family's
+    # trials of one dimension as one stack, and takes all radii of one
     # size in a block from one stacked call; each row must equal its
     # trial evaluated alone, with one block or several
     if block is not None:
         monkeypatch.setattr(harness, "_STAGED_TRIALS", block)
-    cfg = CampaignConfig(trials=8, dims=(1, 2, 3, 5, 16), seed=13)
+    cfg = CampaignConfig(trials=trials, dims=dims, seed=13)
     rep = run_campaign(cfg, with_info=True)
     rows, info_rows = iter(rep.rows), iter(rep.info_rows)
     runs = [(fam, fam.name, fam.commuting_x, rows) for fam in FAMILIES]
@@ -284,6 +291,16 @@ def test_campaign_rows_equal_single_trial_evaluation(block, monkeypatch):
                                          else alone.status())
     assert next(rows, None) is None and next(info_rows, None) is None
     assert len(rep.per_bound) == 23
+
+
+def test_campaign_evaluates_no_member_a_gate_masked_out():
+    # B06-B10 and B19 skip some members of a stack; a function with a
+    # pole or a domain run on one of them would warn (division by zero,
+    # overflow, invalid values), and every warning fails this test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_campaign(CampaignConfig(seed=42, trials=48), with_info=True)
+    assert {r["status"] for r in rep.rows} == {"pass", "fail", "skip"}
 
 
 def test_campaign_skip_rows_for_b19():

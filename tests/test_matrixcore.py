@@ -193,3 +193,43 @@ def test_degenerate_sizes():
     one = np.array([[2.0 + 0j]])
     assert op_norm(one) == pytest.approx(2.0)
     assert_allclose(abs_op(one), [[2.0]])
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(x).tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("k", [1, 3, 300])
+def test_stacked_lapack_equals_looped(k):
+    # the stacked formula layer and replay_failure both rely on this: with
+    # one BLAS thread, each member of a stacked LAPACK call, and of a
+    # stacked matmul, equals the call on that member alone bit for bit
+    rng = np.random.default_rng([k, 7])
+    for n in range(1, 17):
+        a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        h = a + a.conj().swapaxes(-1, -2)
+        rhs = rng.standard_normal((k, n, 2)) + 1j * rng.standard_normal((k, n, 2))
+        w, v = np.linalg.eigh(h)
+        u, s, vh = np.linalg.svd(a)
+        stacked = {
+            "eigh": (w, v),
+            "eigvalsh": (np.linalg.eigvalsh(h),),
+            "svd": (u, s, vh),
+            "svd values": (np.linalg.svd(a, compute_uv=False),),
+            "eigvals": (np.linalg.eigvals(a),),
+            "solve": (np.linalg.solve(a, rhs),),
+            "compose": ((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2),),
+        }
+        for j in range(k):
+            wj, vj = np.linalg.eigh(h[j])
+            looped = {
+                "eigh": (wj, vj),
+                "eigvalsh": (np.linalg.eigvalsh(h[j]),),
+                "svd": np.linalg.svd(a[j]),
+                "svd values": (np.linalg.svd(a[j], compute_uv=False),),
+                "eigvals": (np.linalg.eigvals(a[j]),),
+                "solve": (np.linalg.solve(a[j], rhs[j]),),
+                "compose": ((vj * wj) @ vj.conj().T,),
+            }
+            for name, got in stacked.items():
+                assert _bits(*(x[j] for x in got)) == _bits(*looped[name]), (name, n, j)
