@@ -227,7 +227,7 @@ def _pd_gate(p, q, what):
     definite, else the skip note naming ``what``."""
     ep, eq = _pair(herm_eigen, p, q)
     (ok_p, me_p), (ok_q, me_q) = pd_test(ep), pd_test(eq)
-    live = np.flatnonzero(ok_p & ok_q).tolist()
+    live = [j for j, ok in enumerate(zip(ok_p, ok_q)) if all(ok)]
     bounds = iter(spectrum_bounds([ep.take(live), eq.take(live)]) if live else ())
     return ep, eq, [
         next(bounds) if ok_p[j] and ok_q[j] else

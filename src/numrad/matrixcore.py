@@ -294,38 +294,41 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
 
     On a stack, each of ``fn``, ``domain``, ``name`` and ``pole`` may be
     a list with one entry per member.  Each member's rules are checked on
-    its own eigenvalues, and ``fn`` is called on each member's eigenvalue
-    row alone, so that member j's result equals the call on it alone.
-    The first member that breaks a rule raises.
+    its own eigenvalues, member by member, and ``fn`` is called on each
+    member's eigenvalue row alone, so that member j's result equals the
+    call on it alone.  The first member that breaks a rule raises.
     """
     e = herm_eigen(h)
     w = e.eigenvalues
     rows = w if w.ndim == 2 else w[None]
     k, n = rows.shape
-    fns, domains, names, poles = (_each(v, k) for v in (fn, domain, name, pole))
-    if any(poles):
-        ok = _pd_ok(rows)
-        for j in range(k):
-            if poles[j] and not ok[j]:
-                raise NotPositiveDefiniteError(
-                    f"{names[j]} has a pole at the domain edge and needs a positive "
-                    f"definite argument (min eigenvalue {rows[j, 0] if n else 0.0:.6g})"
-                )
-    args = list(rows)  # each member's own row, as it is laid out
-    if n and any(d is not None for d in domains):
-        for j, (bottom, top) in enumerate(zip(rows[:, 0].tolist(), rows[:, -1].tolist())):
-            if domains[j] is None:
-                continue
-            lo, hi = domains[j]
-            slack = DOMAIN_TOL * max(1.0, -bottom, top)
-            if bottom < lo - slack or top > hi + slack:
-                raise DomainViolationError(
-                    f"spectrum [{bottom:.6g}, {top:.6g}] leaves the "
-                    f"domain [{lo:.6g}, {hi:.6g}] of {names[j]}"
-                )
-            if bottom < lo or top > hi:
-                args[j] = np.clip(rows[j], lo, hi)
-    vals = np.empty(rows.shape)
+    fns, domains, names, poles = _each(fn, k), _each(domain, k), _each(name, k), _each(pole, k)
+    if not n and any(poles):  # an empty spectrum is not positive definite
+        raise NotPositiveDefiniteError(
+            f"{names[poles.index(True)]} has a pole at the domain edge and needs "
+            f"a positive definite argument (min eigenvalue 0)")
+    args = rows  # each member's own row, as it is laid out, or clamped
+    for j, (bottom, top) in enumerate(zip(rows[:, 0].tolist(), rows[:, -1].tolist())
+                                      if n else ()):
+        if poles[j] and not _pd_ok(rows[j:j + 1])[0]:
+            raise NotPositiveDefiniteError(
+                f"{names[j]} has a pole at the domain edge and needs a positive "
+                f"definite argument (min eigenvalue {bottom:.6g})"
+            )
+        if domains[j] is None:
+            continue
+        lo, hi = domains[j]
+        slack = DOMAIN_TOL * max(1.0, -bottom, top)
+        if bottom < lo - slack or top > hi + slack:
+            raise DomainViolationError(
+                f"spectrum [{bottom:.6g}, {top:.6g}] leaves the "
+                f"domain [{lo:.6g}, {hi:.6g}] of {names[j]}"
+            )
+        if bottom < lo or top > hi:
+            if args is rows:
+                args = list(rows)
+            args[j] = np.clip(rows[j], lo, hi)
+    vals = np.empty((k, n))
     for j in range(k):
         vals[j] = _fn_row(fns[j], args[j], names[j])
     if not np.isfinite(vals).all():
@@ -340,12 +343,11 @@ def _pd_ok(w):
     """The positive-definiteness rule on ascending eigenvalues:
     min eig > PD_TOL * max |eig|, so it does not depend on the scale of
     the matrix.  An empty spectrum fails it.  Of (k, n) eigenvalues, the
-    rule for each row."""
-    if not w.shape[-1]:
-        return np.zeros(w.shape[:-1], bool) if w.ndim > 1 else False
-    lo, hi = w[..., 0], w[..., -1]
-    ok = lo > PD_TOL * np.maximum(-lo, hi)
-    return ok if w.ndim > 1 else bool(ok)
+    list of the rule for each row."""
+    rows = w if w.ndim == 2 else w[None]
+    ok = ([lo > PD_TOL * max(-lo, hi) for lo, hi in zip(rows[:, 0].tolist(), rows[:, -1].tolist())]
+          if rows.shape[-1] else [False] * len(rows))
+    return ok if w.ndim == 2 else ok[0]
 
 
 def _fn_row(fn, w: np.ndarray, name: str) -> np.ndarray:

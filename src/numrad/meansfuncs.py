@@ -219,11 +219,11 @@ def pd_test(p):
     P is a Hermitian matrix or its HermEigen.  The rule is
     `matrixcore._pd_ok`: min eig > 1e-10 * max |eig|.  An empty matrix is
     not positive definite; its smallest eigenvalue reads 0.  Of a stack,
-    the two are arrays with one entry per member.
+    the two are lists with one entry per member.
     """
     w = herm_eigen(p).eigenvalues
-    low = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
-    return _pd_ok(w), low if w.ndim > 1 else float(low)
+    low = w[..., 0].tolist() if w.shape[-1] else [0.0] * len(w) if w.ndim > 1 else 0.0
+    return _pd_ok(w), low
 
 
 def _power(s):
@@ -248,12 +248,13 @@ def require_pd(p, name: str = "P"):
     positive definite by `pd_test` (each member of a stack), else raise
     NotPositiveDefiniteError."""
     ok, min_eig = pd_test(p)
-    bad = np.flatnonzero(~np.asarray(ok))
-    if bad.size:
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite "
-            f"(min eigenvalue {np.reshape(min_eig, -1)[bad[0]]:.6g})"
-        )
+    if not isinstance(ok, list):
+        ok, min_eig = [ok], [min_eig]
+    for good, low in zip(ok, min_eig):
+        if not good:
+            raise NotPositiveDefiniteError(
+                f"{name} is not positive definite (min eigenvalue {low:.6g})"
+            )
     return p
 
 
@@ -423,7 +424,8 @@ def spectrum_bounds(mats):
         raise HypothesisViolatedError("spectrum_bounds of an empty family")
     if k is None:
         return SpectrumBounds(min(map(float, lows)), max(map(float, highs)))
-    lows, highs = ([np.broadcast_to(v, (k,)).tolist() for v in vs] for vs in (lows, highs))
+    lows, highs = ([v.tolist() if v.ndim else [float(v)] * k for v in vs]
+                   for vs in (lows, highs))
     return [SpectrumBounds(min(lo), max(hi)) for lo, hi in zip(zip(*lows), zip(*highs))]
 
 
