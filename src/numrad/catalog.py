@@ -330,7 +330,8 @@ def radius_values(mats) -> list:
 def _stage(gen):
     """(radius inputs, finish) of a started staged evaluator: finish(values)
     sends it the radii and returns one tuple of reports per member, in id
-    order, or with ``only`` of the report at that id index alone."""
+    order; with ``only``, each tuple holds the report at that id index
+    alone."""
     inputs = next(gen)
 
     def finish(values, only=None):
