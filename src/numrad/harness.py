@@ -15,8 +15,11 @@ the record standalone to the identical slack.
 from __future__ import annotations
 
 import io
+import math
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -363,13 +366,43 @@ def _json_scalar(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+@lru_cache(maxsize=128)
+def _pair_rows_template(rows: int, cols: int, newline: str) -> str:
+    """The layout json.dumps(indent=2) gives ``rows`` lists of ``cols``
+    [re, im] pairs starting on a line indented by ``newline``, with a %r
+    for each entry."""
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
+    row = "[" + i2 + ("," + i2).join([pair] * cols) + i1 + "]"
+    return "[" + i1 + ("," + i1).join([row] * rows) + newline + "]"
+
+
+def _pair_rows_text(v, newline: str):
+    """The JSON text of ``v`` if it is the ``data`` of a matrix document,
+    rows of equal length of [re, im] pairs of finite floats, by one format
+    of a cached template; None for anything else, empty rows included."""
+    if type(v[0]) is not list or not v[0] or set(map(type, v)) != {list} \
+            or len(set(map(len, v))) != 1:
+        return None
+    pairs = list(chain.from_iterable(v))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    return _pair_rows_template(len(v), len(v[0]), newline) % flat
+
+
 def _write_json(v, out: list, newline: str) -> None:
     """Append ``v`` to ``out`` as json.dumps(v, indent=2, sort_keys=True,
     allow_nan=True) writes it, byte for byte; ``newline`` is a newline and
     the indent of the lines ``v`` starts on.
 
     json.dumps falls back to its pure-Python encoder whenever ``indent``
-    is set; this writer does the same work with fewer calls per value.
+    is set; this writer does the same work with fewer calls per value,
+    and writes a matrix document's ``data`` with one format call.
     """
     inner = newline + "  "
     if isinstance(v, dict):
@@ -392,6 +425,10 @@ def _write_json(v, out: list, newline: str) -> None:
     elif isinstance(v, (list, tuple)):
         if not v:
             out.append("[]")
+            return
+        text = _pair_rows_text(v, newline)
+        if text is not None:
+            out.append(text)
             return
         sep = "[" + inner
         for x in v:

@@ -13,7 +13,9 @@ Re(e^{i theta} A) = M(theta) = cos(theta) H - sin(theta) G, and
 f(theta) = lambda_max(M(theta)) is 2 pi-periodic.  `numerical_radius`
 maximizes f in three steps:
 
-1. a coarse scan of 32 angles in one batched eigvalsh call;
+1. a coarse scan of 32 angles in one batched eigvalsh call over 16 of
+   them: M(theta + pi) = -M(theta), so the bottom eigenvalue at theta
+   gives f(theta + pi) = -lambda_min(M(theta));
 2. safeguarded Newton from the best of them, with f' and f'' from the
    Hellmann-Feynman formulas of one eigh (the hybrid analysed by
    T. Mitchell, SIAM J. Sci. Comput. 2023, arXiv:2002.00080);
@@ -27,8 +29,8 @@ maximizes f in three steps:
 k members at once, with one stacked LAPACK call per scan, Newton round
 and level-set solve; member j's result equals the call on A[j] alone bit
 for bit, so a single matrix is a stack of one.  A long stack goes through
-in chunks whose scan holds at most _CHUNK = 8192 complex entries, the
-size of one n = 16 scan, so its working memory stays that of one call.
+in chunks whose scan holds at most _CHUNK = 2^17 complex entries (2 MB,
+the scans of 32 members at n = 16), so its working memory stays bounded.
 
 `numerical_radius_oracle` is an independent cross-check: alternating
 ascent on (x, theta), which climbs monotonically and shares no code with
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareError
+from .errors import DimensionMismatchError, NonFiniteError, NotSquareError
 from .matrixcore import as_cmatrix, general_eigenvalues
 
 __all__ = [
@@ -53,16 +55,18 @@ __all__ = [
 ]
 
 _COARSE = 32        # equispaced angles of the coarse scan of [0, 2 pi)
+_HALF = _COARSE // 2  # angles the scan solves; angle k + _HALF is k + pi
 _LEVEL = 1e-12      # certificate level gamma = f* (1 + _LEVEL)
 _NEAR_REAL = 1e-6   # |Im theta| up to which a level-set root counts as real
 _NEWTON_ITERS = 60  # cap on Newton steps from one start
-_CHUNK = 8192       # complex entries of one scan eigvalsh call: one n = 16 scan
+_CHUNK = 2 ** 17    # complex entries of one scan eigvalsh call: 32 at n = 16
 _EPS = np.finfo(float).eps
-# the scan's angles with their cosines and sines, computed once
+# the scan's angles, and the cosines and sines of those it solves,
+# computed once
 _GRID = np.linspace(0.0, 2.0 * np.pi, _COARSE, endpoint=False)
 _TANH_NEAR_REAL = np.tanh(_NEAR_REAL)
-_GRID_COS = np.cos(_GRID)[:, None, None]
-_GRID_SIN = np.sin(_GRID)[:, None, None]
+_HALF_COS = np.cos(_GRID[:_HALF])[:, None, None]
+_HALF_SIN = np.sin(_GRID[:_HALF])[:, None, None]
 _CAP = 2.0 * np.pi / _COARSE  # longest Newton step: one coarse-grid step
 
 
@@ -74,8 +78,8 @@ class RadiusResult:
     ``theta``       a maximizer of ||Re(e^{i theta} A)|| in [0, pi)
     ``witness``     unit vector x with |<Ax, x>| = value
     ``evaluations`` eigenvalue problems solved: one per angle at which
-                    Re(e^{i theta} A) was diagonalized, one per level-set
-                    solve
+                    Re(e^{i theta} A) was diagonalized (the coarse scan's
+                    32 angles take 16), one per level-set solve
     ``upper``       the level gamma that the level-set test certified,
                     so that value <= w(A) <= upper up to rounding
     """
@@ -110,6 +114,13 @@ def _top(h: np.ndarray, g: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """f(theta[i]) = lambda_max(M(theta[i])) of member i, one eigvalsh call."""
     t = thetas[:, None, None]
     return np.linalg.eigvalsh(np.cos(t) * h - np.sin(t) * g)[:, -1]
+
+
+def _scan(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f at the 32 angles of _GRID (a (k, 32) array), from one eigvalsh
+    call over the first 16: f(theta + pi) = -lambda_min(M(theta))."""
+    w = np.linalg.eigvalsh(_HALF_COS * h[:, None] - _HALF_SIN * g[:, None])
+    return np.concatenate([w[..., -1], -w[..., 0]], axis=1)
 
 
 def _expand(h: np.ndarray, g: np.ndarray, theta):
@@ -222,9 +233,9 @@ def _certify(a: np.ndarray, top: np.ndarray) -> list:
     e = np.frexp(top)[1]
     h, g = _herm_parts(
         np.ldexp(a.view(np.float64), -e[:, None, None]).view(np.complex128))
-    scan = np.linalg.eigvalsh(_GRID_COS * h[:, None] - _GRID_SIN * g[:, None])[..., -1]
+    scan = _scan(h, g)
     f, theta, x, evals = _ascend(h, g, _GRID[scan.argmax(axis=1)].tolist())
-    evals = [v + _COARSE for v in evals]
+    evals = [v + _HALF for v in evals]
     phi = [t + np.pi for t in _GRID[scan.argmin(axis=1)].tolist()]
     gamma = [0.0] * k
     todo = list(range(k))
@@ -265,7 +276,9 @@ def numerical_radius(a):
     f(theta) = lambda_max(cos(theta) H - sin(theta) G) on [0, 2 pi),
     A = H + iG.  Three steps:
 
-    1. coarse scan: 32 equispaced angles in one batched eigvalsh call;
+    1. coarse scan: 32 equispaced angles in one batched eigvalsh call
+       (`_scan`), which solves 16 of them: the top and bottom
+       eigenvalues at theta give f(theta) and f(theta + pi);
     2. Newton polish from the best one (`_ascend`), with Hellmann-Feynman
        derivatives from one eigh per step;
     3. certificate: with gamma = f* (1 + 1e-12), every angle at which
@@ -285,8 +298,10 @@ def numerical_radius(a):
     runs on all members at once (one stacked LAPACK call per scan,
     Newton round and level-set solve), and a member that is done drops
     out of the later rounds.  Members go through in chunks whose scan
-    holds at most _CHUNK = 8192 complex entries, so that the working
-    memory of a long stack stays that of one n = 16 scan.
+    holds at most _CHUNK = 2^17 complex entries (32 members at n = 16),
+    so that the working memory of a long stack stays bounded.
+
+    Non-finite entries raise NonFiniteError (a ValueError).
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim not in (2, 3):
@@ -295,13 +310,13 @@ def numerical_radius(a):
     stack = np.ascontiguousarray(arr if arr.ndim == 3 else arr[None])
     top = np.abs(stack).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(top).all():
-        raise ValueError("A contains non-finite entries")
+        raise NonFiniteError("A contains non-finite entries")
     if arr.shape[-2] != arr.shape[-1]:
         raise NotSquareError(f"numerical radius needs square input, got {arr.shape}")
     k, n = stack.shape[0], stack.shape[-1]
     out = [None] * k
     todo = np.flatnonzero(top)
-    size = max(1, _CHUNK // (_COARSE * n * n or 1))
+    size = max(1, _CHUNK // (_HALF * n * n or 1))
     for at in range(0, todo.size, size):
         part = todo[at:at + size]
         for j, r in zip(part.tolist(), _certify(stack[part], top[part])):

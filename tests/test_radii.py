@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numrad.errors import NotSquareError
+from numrad import radii
+from numrad.errors import NonFiniteError, NotSquareError
 from numrad.radii import (
     numerical_radius,
     numerical_radius_oracle,
@@ -207,8 +208,8 @@ def _fields(r):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_stack_members_equal_single_calls(n):
     # a stack is a batch of single calls: every member's five fields equal
-    # the 2-D call's bit for bit, across chunk boundaries (at n = 16 every
-    # member is a chunk of its own) and with members that stop early
+    # the 2-D call's bit for bit, with members that stop early (chunk
+    # boundaries: test_campaign_wide_dimension_is_one_chunk)
     rng = np.random.default_rng(71 + n)
     mats = [_random_matrix(rng, n) for _ in range(4)]
     mats += [np.ldexp(1.0, 600) * mats[0], np.ldexp(1.0, -600) * mats[1],
@@ -227,6 +228,67 @@ def test_empty_stacks():
         == [(0.0, 0.0, 0, (0,))] * 2
     with pytest.raises(NotSquareError):
         numerical_radius(np.zeros((2, 2, 3)))
+
+
+def test_non_finite_input_raises_the_typed_error():
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        numerical_radius(np.array([[np.nan]]))
+    stack = np.array([np.eye(3), np.eye(3), np.eye(3)])
+    stack[1, 2, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        numerical_radius(stack)
+
+
+def test_half_scan_matches_the_full_scan():
+    # M(theta + pi) = -M(theta): the scan's 16 eigensolves give the values
+    # of a direct 32-angle scan up to an eigensolver's backward error,
+    # n eps max|lambda| times a small constant (the cosines and sines of
+    # theta + pi round differently), and the same Newton start (argmax)
+    # and level-set centre (argmin)
+    rng = np.random.default_rng(83)
+    mats = [_random_matrix(rng, n) for n in rng.integers(1, 17, 200)]
+    cos = np.cos(radii._GRID)[:, None, None]
+    sin = np.sin(radii._GRID)[:, None, None]
+    for scale in (1.0, np.ldexp(1.0, 600), np.ldexp(1.0, -600)):
+        for a in mats:
+            h, g = radii._herm_parts(scale * a)
+            half = radii._scan(h[None], g[None])[0]
+            lam = np.linalg.eigvalsh(cos * h - sin * g)
+            full = lam[:, -1]
+            tol = 4 * a.shape[0] * np.finfo(float).eps * np.abs(lam).max()
+            assert np.abs(half - full).max() <= tol
+            assert half.argmax() == full.argmax()
+            assert half.argmin() == full.argmin()
+    # where the 32 values tie (f(-theta) = f(theta) for a real A; f is
+    # constant for the shift), the certificate still holds
+    for a in (rng.standard_normal((5, 5)), np.eye(4, k=1)):
+        r = numerical_radius(a)
+        w = numerical_radius_oracle(a)
+        assert w - 1e-9 * (1.0 + w) <= r.value <= r.upper
+
+
+def test_campaign_wide_dimension_is_one_chunk(monkeypatch):
+    # a campaign-wide dimension's stack (at most 17 members at n = 16) is
+    # one scan call, the only 4-D eigvalsh (`_top`'s probes are 3-D); a
+    # longer stack splits into chunks, each member equal to its call alone
+    rng = np.random.default_rng(89)
+    mats = np.array([_random_matrix(rng, 16) for _ in range(40)])
+    alone = [_fields(numerical_radius(a)) for a in mats]
+    scans = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        if m.ndim == 4:
+            scans.append(m.shape[0])
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    numerical_radius(mats[:17])
+    assert scans == [17]
+    scans.clear()
+    got = numerical_radius(mats)
+    assert scans == [32, 8]
+    assert [_fields(r) for r in got] == alone
 
 
 def test_omega_blockdiag_is_max_of_blocks():
