@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     IncompatibleBoundsError,
     InvalidSpecError,
+    NonFiniteError,
     NotSquareError,
     UnknownBoundIdError,
 )
@@ -348,10 +349,18 @@ def _stage(gen):
 def _alone(evaluator, operands, only=None, **params):
     """A staged evaluator's reports on one trial, as a stack of one: its
     matrices ``operands`` (named A, B, X in order) and one value per grid
-    key in ``params``; with ``only``, the report at that id index alone."""
+    key in ``params``; with ``only``, the report at that id index alone.
+
+    The operands are checked here, so a NonFiniteError met later comes
+    from a matrix that overflowed while a formula formed it, and says so
+    rather than naming the slot of the function that met it."""
     stacks = [as_cmatrix(m, name)[None] for m, name in zip(operands, "ABX")]
-    inputs, finish = _stage(evaluator(*stacks, **{k: [v] for k, v in params.items()}))
-    return finish(radius_values(inputs), only)[0]
+    try:
+        inputs, finish = _stage(evaluator(*stacks, **{k: [v] for k, v in params.items()}))
+        return finish(radius_values(inputs), only)[0]
+    except NonFiniteError as exc:
+        raise NonFiniteError(
+            "a matrix formed from the operands overflowed to non-finite entries") from exc
 
 
 def _quiet():

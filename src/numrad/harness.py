@@ -15,12 +15,9 @@ the record standalone to the identical slack.
 from __future__ import annotations
 
 import io
-import math
+import json
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -317,6 +314,7 @@ class CampaignReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        """The report as one line of JSON, keys sorted, NaN and Infinity kept."""
         doc = {
             "config": self.config,
             "per_bound": self.per_bound,
@@ -324,9 +322,7 @@ class CampaignReport:
             "failures": self.failures,
             "info_rows": self.info_rows,
         }
-        out = []
-        _write_json(doc, out, "\n")
-        return "".join(out)
+        return json.dumps(doc, sort_keys=True, allow_nan=True)
 
     def summary_lines(self) -> list:
         lines = []
@@ -337,113 +333,6 @@ class CampaignReport:
                 f"fail={s['failed']:<5d} skip={s['skipped']:<5d} min_slack={mn}"
             )
         return lines
-
-
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(v) -> str:
-    text = float.__repr__(v)
-    return _FLOAT_SPECIALS.get(text, text)
-
-
-# the JSON text of each scalar type, as json.dumps writes it with
-# allow_nan=True; bool comes before its base class int
-_SCALARS = {
-    str: encode_basestring_ascii,
-    bool: lambda v: "true" if v else "false",
-    int: int.__repr__,
-    float: _float_text,
-    type(None): lambda v: "null",
-}
-
-
-def _json_scalar(v) -> str:
-    """JSON text of a scalar; a subclass (a numpy float) as its base."""
-    for kind, text in _SCALARS.items():
-        if isinstance(v, kind):
-            return text(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-@lru_cache(maxsize=128)
-def _pair_rows_template(rows: int, cols: int, newline: str) -> str:
-    """The layout json.dumps(indent=2) gives ``rows`` lists of ``cols``
-    [re, im] pairs starting on a line indented by ``newline``, with a %r
-    for each entry."""
-    i1 = newline + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
-    row = "[" + i2 + ("," + i2).join([pair] * cols) + i1 + "]"
-    return "[" + i1 + ("," + i1).join([row] * rows) + newline + "]"
-
-
-def _pair_rows_text(v, newline: str):
-    """The JSON text of ``v`` if it is the ``data`` of a matrix document,
-    rows of equal length of [re, im] pairs of finite floats, by one format
-    of a cached template; None for anything else, empty rows included."""
-    if type(v[0]) is not list or not v[0] or set(map(type, v)) != {list} \
-            or len(set(map(len, v))) != 1:
-        return None
-    pairs = list(chain.from_iterable(v))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    return _pair_rows_template(len(v), len(v[0]), newline) % flat
-
-
-def _write_json(v, out: list, newline: str) -> None:
-    """Append ``v`` to ``out`` as json.dumps(v, indent=2, sort_keys=True,
-    allow_nan=True) writes it, byte for byte; ``newline`` is a newline and
-    the indent of the lines ``v`` starts on.
-
-    json.dumps falls back to its pure-Python encoder whenever ``indent``
-    is set; this writer does the same work with fewer calls per value,
-    and writes a matrix document's ``data`` with one format call.
-    """
-    inner = newline + "  "
-    if isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, x in sorted(v.items()):  # a key that is no str raises
-            head = sep + encode_basestring_ascii(key) + ": "
-            text = _SCALARS.get(type(x))
-            if text is not None:
-                out.append(head + text(x))
-            elif isinstance(x, (dict, list, tuple)):
-                out.append(head)
-                _write_json(x, out, inner)
-            else:
-                out.append(head + _json_scalar(x))
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            out.append("[]")
-            return
-        text = _pair_rows_text(v, newline)
-        if text is not None:
-            out.append(text)
-            return
-        sep = "[" + inner
-        for x in v:
-            text = _SCALARS.get(type(x))
-            if text is not None:
-                out.append(sep + text(x))
-            elif isinstance(x, (dict, list, tuple)):
-                out.append(sep)
-                _write_json(x, out, inner)
-            else:
-                out.append(sep + _json_scalar(x))
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(_json_scalar(v))
 
 
 def _row(bid, t, dim, seed, rep, status) -> dict:

@@ -220,8 +220,12 @@ def herm_eigen(h) -> HermEigen:
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each member of a stack."""
-    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+    """The Frobenius norm of each member of a stack.  A member with an
+    entry of modulus 1 or more is scaled by a power of two 2^-e, which is
+    exact, before its entries are squared, so that no square overflows."""
+    e = np.maximum(np.frexp(np.abs(m).max(axis=(-2, -1), initial=0.0))[1], 0)
+    t = m * np.ldexp(1.0, -e)[..., None, None]
+    return np.ldexp(np.sqrt(np.add.reduce((t.conj() * t).real, axis=(-2, -1))), e)
 
 
 def general_eigenvalues(a) -> np.ndarray:

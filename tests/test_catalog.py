@@ -42,6 +42,7 @@ from numrad.catalog import (
     compatible_signatures,
     evaluate_bound,
     evaluate_family,
+    family_of,
     required_operands,
     _report,
 )
@@ -49,6 +50,7 @@ from numrad.errors import (
     DimensionMismatchError,
     IncompatibleBoundsError,
     InvalidSpecError,
+    NonFiniteError,
     NotSquareError,
     NumradError,
     UnknownBoundIdError,
@@ -829,6 +831,26 @@ def test_a_sibling_formula_that_overflows_fails_only_its_own_id():
         assert evaluate_bound("B05", a=a, b=b, x=x).status() == "pass"
         with pytest.raises(ValueError, match="non-finite"):
             check_classics(a, b, x)
+
+
+def test_a_formed_overflow_names_no_operand():
+    # a non-finite operand is named; a matrix that a formula formed and
+    # that overflowed is not blamed on a finite operand
+    big, one = np.array([[1e160]]), np.array([[1.0]])
+    formed = "^a matrix formed from the operands overflowed to non-finite entries$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="^A contains non-finite entries$"):
+            evaluate_bound("B02", a=np.array([[np.inf]]))
+        with pytest.raises(NonFiniteError, match="^X contains non-finite entries$"):
+            check_classics(one, one, np.array([[np.nan]]))
+        with pytest.raises(NonFiniteError, match=formed):
+            evaluate_bound("B02", a=big)
+        with pytest.raises(NonFiniteError, match=formed):
+            evaluate_bound("B05", a=big, b=big, x=big)
+        with pytest.raises(NonFiniteError, match=formed):
+            check_classics(big, big, big)
+        with pytest.raises(NonFiniteError, match=formed):
+            evaluate_family(family_of("B08"), {"a": big, "b": big, "x": big})
 
 
 def test_b05_alone_warns_of_no_sibling_overflow():

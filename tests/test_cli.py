@@ -5,7 +5,7 @@ import pytest
 
 from numrad.catalog import check_lemma
 from numrad.cli import load_matrix, main
-from numrad.harness import doc_to_matrix, matrix_to_doc
+from numrad.harness import doc_to_matrix, matrix_to_doc, replay_failure
 
 JORDAN = [[0, 1], [0, 0]]
 
@@ -308,11 +308,15 @@ def test_check_a_sibling_overflow_does_not_fail_the_bound(tmp_path):
 
 
 def test_check_non_finite_intermediate_exits_precondition(capsys, tmp_path):
-    # A*A overflows at A = [1e160]: a one-line precondition error, exit 3
+    # A*A + AA* (B02) and A*|X*|A (B05) overflow at A = X = [1e160]: a
+    # one-line precondition error, exit 3, that names no finite operand
     a = _write(tmp_path, "a.json", [[1e160]])
-    assert main(["check", "--bound", "B02", "--A", a]) == 3
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: A contains non-finite entries"]
+    for args in (["--bound", "B02", "--A", a],
+                 ["--bound", "B05", "--A", a, "--B", a, "--X", a]):
+        assert main(["check", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: a matrix formed from the operands overflowed to non-finite entries"]
 
 
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):
@@ -399,6 +403,19 @@ def test_campaign_with_info_rows(capsys, tmp_path):
     csv = (tmp_path / "i.csv").read_text()
     assert ",info\n" in csv
     capsys.readouterr()
+
+
+def test_campaign_json_file_replays_every_failure(capsys, tmp_path):
+    # the written report, read back, replays each failure to its slack
+    out = str(tmp_path / "run")
+    assert main(["campaign", "--bounds", "B06,B07,B08,B09,B10", "--trials", "24",
+                 "--seed", "3", "--out", out]) == 1
+    with open(out + ".json", encoding="utf-8") as fh:
+        doc = json.loads(fh.read())
+    assert len(doc["failures"]) == sum(s["failed"] for s in doc["per_bound"].values())
+    assert doc["failures"]
+    for rec in doc["failures"]:
+        assert replay_failure(rec).slack.hex() == rec["slack"].hex()
 
 
 # -------------------------------------------------------------------- repro

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,6 +76,22 @@ def test_herm_eigen_tolerates_roundoff_asymmetry():
     h = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]])
     e = herm_eigen(h)
     assert e.eigenvalues[0] < e.eigenvalues[1]
+
+
+def test_herm_eigen_rule_holds_where_the_squares_overflow():
+    # ||H||_F^2 overflows above ~1e154, which made the tolerance inf
+    h = np.array([[2.0, 1j], [-1j, 1.0]])
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e150, 1e160, 1e300):
+            with pytest.raises(NotHermitianError, match=re.escape(f"{2 ** 0.5 * scale:.3e}")):
+                herm_eigen(scale * skew)
+        assert_allclose(herm_eigen(1e160 * h).eigenvalues,
+                        1e160 * herm_eigen(h).eigenvalues, rtol=1e-15)
+        # each member of a stack is judged on its own scale
+        with pytest.raises(NotHermitianError, match="1.414e[+]00"):
+            herm_eigen(np.stack([1e160 * h, skew]))
 
 
 def test_general_eigenvalues_companion():
