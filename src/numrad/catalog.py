@@ -39,6 +39,7 @@ from .errors import (
     UnknownBoundIdError,
 )
 from .matrixcore import (
+    HermEigen,
     _as_stack,
     _each,
     _pair,
@@ -100,21 +101,19 @@ RTOL = 1e-9
 # commutation gate for the B18-B21 family and L08
 ALPHA_COMM_TOL = 1e-8
 
-# lemma tolerances: L02's Loewner floor; L04's coarse angles, the width to
-# which golden section polishes each peak (the value error is then
-# quadratic in it, below rounding), the level gamma = s* (1 + _L04_LEVEL)
-# of its certificate, the |Im theta| up to which a level-set root counts
-# as real, and the agreement with w(A) that this reaches, relative to the
-# certified upper bound (the uniform rule's ATOL + RTOL * rhs still
-# applies on top); L05's agreement of two radius computations
+# lemma tolerances: L02's Loewner floor; L04's scan angles, the relative
+# rise below which its level-set iteration stops and the level
+# gamma = s* (1 + _L04_LEVEL) of its certificate, the |Im theta| up to
+# which a level-set root counts as real, and the agreement with w(A) that
+# this reaches, relative to the certified upper bound (the uniform rule's
+# ATOL + RTOL * rhs still applies on top); L05's agreement of two radius
+# computations
 L02_ATOL = 1e-8
 L04_GRID = 64
-_L04_WIDTH = 1e-9
 _L04_LEVEL = 1e-12
 _L04_NEAR_REAL = 1e-6
 L04_TOL = 1e-10
 L05_TOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor
 
 
 @dataclass(frozen=True)
@@ -328,19 +327,29 @@ def radius_values(mats) -> list:
     return [v if np.ndim(m) == 3 else v[0] for m, v in zip(mats, values)]
 
 
+def _quiet():
+    """No overflow warnings at the staging boundary (`_stage`): every
+    formula of a staged evaluator runs under it, since a matrix or value
+    that overflows raises NonFiniteError where it is read."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _stage(gen):
     """(radius inputs, finish) of a started staged evaluator: finish(values)
     sends it the radii and returns one tuple of reports per member, in id
     order; with ``only``, each tuple holds the report at that id index
-    alone."""
-    inputs = next(gen)
+    alone.  The evaluator and the report builders it returns run under
+    `_quiet`."""
+    with _quiet():
+        inputs = next(gen)
 
     def finish(values, only=None):
-        try:
-            gen.send(tuple(values))
-        except StopIteration as done:
-            cols = done.value if only is None else done.value[only:only + 1]
-            return list(zip(*(c() if callable(c) else c for c in cols)))
+        with _quiet():
+            try:
+                gen.send(tuple(values))
+            except StopIteration as done:
+                cols = done.value if only is None else done.value[only:only + 1]
+                return list(zip(*(c() if callable(c) else c for c in cols)))
         raise RuntimeError("a staged evaluator yields once")
 
     return inputs, finish
@@ -361,12 +370,6 @@ def _alone(evaluator, operands, only=None, **params):
     except NonFiniteError as exc:
         raise NonFiniteError(
             "a matrix formed from the operands overflowed to non-finite entries") from exc
-
-
-def _quiet():
-    """No overflow warnings while forming matrices whose overflow raises
-    NonFiniteError where they are read."""
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _finite_square(m) -> np.ndarray:
@@ -405,13 +408,12 @@ def _classics(a, b, x, p=1.0):
     `numerical_radius` would reject (A not square, an overflow) is staged
     as zeros and raises in the reports that read it: a single bound runs
     no sibling's formula.  Matrices that overflow are formed without a
-    warning (`_quiet`), since each raises NonFiniteError in its own
-    report."""
+    warning, as every formula behind the staging boundary is (`_quiet`),
+    and each raises NonFiniteError in its own report."""
     p = [_need_power(v) for v in _each(p, len(a))]
     a, b, x = _operands(a, b, x)
     ah, bh = _adj(a), _adj(b)
-    with _quiet():
-        ins = a, bh @ a, a @ bh, _target(a, b, x)
+    ins = a, bh @ a, a @ bh, _target(a, b, x)
     ws = yield tuple(_finite_square(m) for m in ins)
 
     def w(i):  # the radii of ins[i], raising as `numerical_radius` would
@@ -424,30 +426,23 @@ def _classics(a, b, x, p=1.0):
 
     def b02():
         w0 = w(0)
-        with _quiet():
-            gram = ah @ a + a @ ah
-        rhs = op_norm(gram).tolist()
+        rhs = op_norm(ah @ a + a @ ah).tolist()
         return [_report("B02", v * v, 0.5 * r, {"omega": v}) for v, r in zip(w0, rhs)]
 
     def b03():
         w1 = w(1)
-        with _quiet():
-            grams = ah @ a, bh @ b
-        rhs = op_norm(_sum_of(psd_pow, *grams, p)).tolist()
+        rhs = op_norm(_sum_of(psd_pow, ah @ a, bh @ b, p)).tolist()
         return [_report("B03", v ** e, 0.5 * r, {"p": e}) for v, r, e in zip(w1, rhs, p)]
 
     def b04():
         w1 = w(1)
-        with _quiet():
-            grams = a @ ah, b @ bh
-        rhs = op_norm(_sum_of(psd_pow, *grams, p)).tolist()
+        rhs = op_norm(_sum_of(psd_pow, a @ ah, b @ bh, p)).tolist()
         w2 = w(2)
         return [_report("B04", v ** e, 0.25 * r + 0.5 * c ** e, {"p": e, "omega_cross": c})
                 for v, r, c, e in zip(w1, rhs, w2, p)]
 
     def b05():
-        with _quiet():
-            p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
+        p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
         rhs = op_norm(_sum_of(psd_pow, q_mat, p_mat, p)).tolist()
         return [_report("B05", v ** e, 0.5 * r, {"p": e}) for r, v, e in zip(rhs, w(3), p)]
 
@@ -881,18 +876,21 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
-    sb = _pd_gate(a[None], b[None], "operands")[2][0]
+    ea, eb, (sb,) = _pd_gate(a[None], b[None], "operands")
     if isinstance(sb, str):
         return LoewnerReport("L02", float("nan"), False, False,
                              "operands must be positive definite", params)
     k = sb.kantorovich
     params.update(m=sb.m, M=sb.M, k=k)
+    ea, eb = (HermEigen(e.eigenvalues[0], e.eigenvectors[0]) for e in (ea, eb))
 
     def comp(t):
-        return t if v is None else compress(t, v)
+        return _sym(t if v is None else compress(t, v))
 
-    lhs = mean(eval_fn(hf, _sym(comp(a))), eval_fn(hf, _sym(comp(b))), sigma, nu)
-    rhs = k * eval_fn(hf, _sym(comp(mean(a, b, tau, nu))))
+    # F(A) and F(B) are A and B, factorized by the gate, when v is omitted
+    fa, fb = (ea, eb) if v is None else (comp(a), comp(b))
+    lhs = mean(eval_fn(hf, fa), eval_fn(hf, fb), sigma, nu)
+    rhs = k * eval_fn(hf, comp(mean(ea, eb, tau, nu)))
     diff = herm_eigen(_sym(rhs - lhs)).eigenvalues
     me = float(diff[0])
     scale = op_norm(rhs)
@@ -916,29 +914,6 @@ def _l03(a, h="inv") -> BoundReport:
     lhs = op_norm(eval_fn(hf, psd_pow(ea, -1.0)))
     rhs = hf(1.0 / op_norm(a))
     return _report("L03", lhs, rhs, {"h": hf.name})
-
-
-def _golden(smax, lo, hi) -> tuple[np.ndarray, int]:
-    """Golden-section maximization of smax on each bracket [lo_i, hi_i],
-    all brackets together (one batched call per step), until each is at
-    most _L04_WIDTH wide: the best value seen in each bracket, and the
-    number of smax evaluations."""
-    # mid is the best point of each bracket, at its golden section; the
-    # next probe is its mirror image, and the worse of the two bounds
-    # the new bracket
-    mid = lo + _INVPHI * (hi - lo)
-    fmid = smax(mid)
-    iters = max(0, math.ceil(math.log(_L04_WIDTH / np.max(hi - lo))
-                             / math.log(_INVPHI)))
-    for _ in range(iters):
-        probe = lo + hi - mid
-        fprobe = smax(probe)
-        inner_lo, inner_hi = np.minimum(probe, mid), np.maximum(probe, mid)
-        mid = np.where(fprobe > fmid, probe, mid)
-        fmid = np.maximum(fprobe, fmid)
-        left = mid == inner_lo
-        lo, hi = np.where(left, lo, inner_lo), np.where(left, inner_hi, hi)
-    return fmid, mid.size * (1 + iters)
 
 
 def _sup_level_set(a, adj, phi, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -972,20 +947,20 @@ def _sup_form(a) -> tuple[float, float, int]:
     """sup over theta of ||A + e^{i theta} A*|| / 2, a certified upper
     bound of it, and the number of sigma_max evaluations it took.
 
-    1. scan: L04_GRID equispaced angles in one batched SVD; the coarse
-       peaks are the argmax and every strict local maximum, so a flat
-       profile has one;
-    2. polish: golden section on sigma_max over [theta_i - h, theta_i + h]
-       around each coarse peak (h the grid step), all brackets together,
-       until they are _L04_WIDTH wide (`_golden`);
-    3. certificate: with gamma = s* (1 + _L04_LEVEL), s* the largest
-       sigma_max seen, the arcs between the angles at which gamma is a
-       singular value come from one eigenproblem (`_sup_level_set`, phi
-       at the coarse minimum).  If sigma_max exceeds gamma at none of
-       their midpoints, s* / 2 <= sup <= gamma / 2; otherwise each arc
-       where it does is polished and the test repeated.  Each repeat
-       raises s* above the previous gamma, so two peaks that share one
-       coarse bracket, where golden section may keep the lower, are
+    1. scan: L04_GRID equispaced angles in one batched SVD; s* is the
+       largest sigma_max seen;
+    2. level-set iteration: the arcs between the angles at which
+       gamma = s* is a singular value come from one eigenproblem
+       (`_sup_level_set`, phi at the coarse minimum), and sigma_max at
+       their midpoints, one batched SVD, raises s*.  This is the midpoint
+       method of S. Boyd and V. Balakrishnan (Systems Control Lett. 15,
+       1990), quadratically convergent, as E. Mengi and M. L. Overton
+       (IMA J. Numer. Anal. 25, 2005) use it for w(A); it repeats while
+       s* rises by more than the factor 1 + _L04_LEVEL;
+    3. certificate: the same step at gamma = s* (1 + _L04_LEVEL).  If
+       sigma_max exceeds gamma at none of the midpoints,
+       s* / 2 <= sup <= gamma / 2; otherwise the iteration goes on from
+       the larger value, so two peaks closer than the scan's step are
        both found.
     """
     if not a.size:
@@ -996,28 +971,25 @@ def _sup_form(a) -> tuple[float, float, int]:
         stack = a + np.exp(1j * thetas)[:, None, None] * adj
         return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
-    step = 2.0 * np.pi / L04_GRID
-    grid = step * np.arange(L04_GRID)
+    grid = 2.0 * np.pi / L04_GRID * np.arange(L04_GRID)
     scan = smax(grid)
-    peak = (scan > np.roll(scan, 1)) & (scan > np.roll(scan, -1))
-    peak[np.argmax(scan)] = True
-    polished, evals = _golden(smax, grid[peak] - step, grid[peak] + step)
-    best = float(max(scan.max(), polished.max()))
-    evals += L04_GRID
+    best = gamma = float(scan.max())
+    evals = L04_GRID
     if not best:  # sigma_max vanishes at two angles only when A = 0
         return 0.0, 0.0, evals
     phi = float(grid[np.argmin(scan)])
     while True:
-        gamma = best * (1.0 + _L04_LEVEL)
         lo, hi = _sup_level_set(a, adj, phi, gamma)
         fmid = smax(0.5 * (lo + hi))
         evals += lo.size
-        above = fmid > gamma
-        if not above.any():
+        top = float(fmid.max(initial=0.0))
+        if top > best * (1.0 + _L04_LEVEL):  # still climbing
+            best = gamma = top
+        elif gamma > best:  # no midpoint above the certificate level
             break
-        polished, more = _golden(smax, lo[above], hi[above])
-        best = float(max(fmid.max(), polished.max()))
-        evals += more
+        else:  # converged: certify once
+            best = max(best, top)
+            gamma = best * (1.0 + _L04_LEVEL)
     return 0.5 * best, 0.5 * gamma, evals
 
 
@@ -1025,13 +997,15 @@ def _l04(a) -> BoundReport:
     """w(A) equals sup over theta of ||A + e^{i theta} A*|| / 2
     (T. Yamazaki, Studia Math. 178, 2007).
 
-    The sup form comes from `_sup_form`: a coarse scan, a golden-section
-    polish and a level-set certificate on singular values, sharing no
-    code with `numerical_radius`, so that each checks the other.  Both
-    certify an interval, [w, upper] and [sup, sup_upper]; the two must
-    meet, and |w - sup| (lhs) must be within L04_TOL * upper (rhs).
-    Intervals that do not meet leave no room, rhs = 0.  The verdict is
-    the uniform rule, lhs <= rhs + ATOL + RTOL * rhs, so below
+    The sup form comes from `_sup_form` in three steps on singular values:
+    a scan of L04_GRID angles, the level-set iteration of Boyd and
+    Balakrishnan (Systems Control Lett. 15, 1990) as Mengi and Overton
+    (IMA J. Numer. Anal. 25, 2005) use it for w(A), and its certificate.
+    It shares no code with `numerical_radius`, so that each checks the
+    other.  Both certify an interval, [w, upper] and [sup, sup_upper];
+    the two must meet, and |w - sup| (lhs) must be within L04_TOL * upper
+    (rhs).  Intervals that do not meet leave no room, rhs = 0.  The
+    verdict is the uniform rule, lhs <= rhs + ATOL + RTOL * rhs, so below
     ||A|| ~ 10 its absolute floor ATOL, not L04_TOL * upper, sets the
     limit.  ``params["evaluations"]`` counts the sigma_max evaluations.
     """

@@ -473,8 +473,8 @@ def test_lemma_l04_sup_form_agrees():
 
 
 def test_lemma_l04_finds_the_missed_peak():
-    # the peak of the last entry lies between the coarse angles, behind
-    # three others of height 1; each coarse peak is polished
+    # the peak of the last entry lies between the scan's angles, behind
+    # three others of height 1; the level-set iteration climbs to it
     a = _missed_peak(2e-6)
     rep = check_lemma("L04", a=a)
     assert rep.status() == "pass"
@@ -484,8 +484,8 @@ def test_lemma_l04_finds_the_missed_peak():
 
 def test_lemma_l04_passes_the_missed_peak_family():
     # the random-offset family of the radius test: two peaks closer than
-    # the coarse step share one bracket, golden section may keep the lower
-    # one, and the certificate finds the other
+    # the scan's step may show as one, and the level set at the lower
+    # one's height holds an arc around the other, whose midpoint climbs
     rng = np.random.default_rng(47)
     for _ in range(400):
         eps = 10.0 ** rng.uniform(-9.0, -5.0)
@@ -493,6 +493,20 @@ def test_lemma_l04_passes_the_missed_peak_family():
         rep = check_lemma("L04", a=_missed_peak(eps, offsets))
         assert rep.status() == "pass"
         assert rep.params["sup_form"] == pytest.approx(1.0 + eps, rel=1e-12)
+
+
+def test_lemma_l04_sup_form_agrees_with_w_to_rounding():
+    # the level-set iteration stops only once the certificate at
+    # s* (1 + 1e-12) passes, which leaves the sup form at rounding
+    # distance from w(A), far inside L04_TOL
+    rng = np.random.default_rng(79)
+    mats = [_rand(rng, n) for n in range(1, 9) for _ in range(6)]
+    for _ in range(60):
+        eps = 10.0 ** rng.uniform(-9.0, -5.0)
+        mats.append(_missed_peak(eps, rng.uniform(0.0, 1440.0, 3)))
+    for a in mats:
+        rep = check_lemma("L04", a=a)
+        assert rep.lhs <= 1e-14 * rep.params["upper"]
 
 
 def test_lemma_l04_certificate_brackets_the_sup_form():
@@ -564,13 +578,13 @@ def test_lemma_l04_radius_above_the_sup_form_certificate_fails(monkeypatch):
 
 
 def test_lemma_l04_evaluation_count_is_bounded():
-    # the coarse argmax and every strict coarse peak are polished, so a
-    # flat profile (A = 0) polishes one bracket
+    # past the scan, each level-set step evaluates one midpoint per arc,
+    # and the iteration converges quadratically in a few steps
     rng = np.random.default_rng(71)
     mats = [_rand(rng, int(rng.integers(2, 6))) for _ in range(40)]
     for a in mats + [np.zeros((3, 3))]:
-        assert check_lemma("L04", a=a).params["evaluations"] <= 300
-    # one polished bracket costs fewer evaluations than the scan
+        assert check_lemma("L04", a=a).params["evaluations"] <= L04_GRID + 32
+    # a flat profile (A = 0) stops after the scan
     assert check_lemma("L04", a=np.zeros((3, 3))).params["evaluations"] < 2 * L04_GRID
 
 

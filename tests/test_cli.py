@@ -319,6 +319,20 @@ def test_check_non_finite_intermediate_exits_precondition(capsys, tmp_path):
             "error: a matrix formed from the operands overflowed to non-finite entries"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound", ["B02", "B05", "B06", "B07", "B08", "B11",
+                                   "B14", "B16a", "B18"])
+def test_check_overflow_prints_the_error_alone(capsys, tmp_path, bound):
+    # the formulas behind the staging boundary form the overflowing
+    # matrices without a warning: the one-line error is all that prints
+    a = _write(tmp_path, "a.json", [[1e160]])
+    assert main(["check", "--bound", bound, "--A", a, "--B", a, "--X", a]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a matrix formed from the operands overflowed to non-finite entries"]
+
+
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):
     a = _write(tmp_path, "a.json", [[1.0, 2.0], [0.0, 1.0]])
     assert main(["check", "--bound", "B13", "--h", "pow:2", "--A", a,
