@@ -965,6 +965,11 @@ def _sup_form(a) -> tuple[float, float, int]:
     """
     if not a.size:
         return 0.0, 0.0, 0
+    # the sup form is positively homogeneous; rescaling by a power of two
+    # is exact, keeps best (1 + _L04_LEVEL) above best and the level-set
+    # pencil out of the subnormal and overflow ranges
+    e = int(np.frexp(np.abs(a.view(np.float64)).max())[1])
+    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
     adj = a.conj().T
 
     def smax(thetas):
@@ -990,7 +995,7 @@ def _sup_form(a) -> tuple[float, float, int]:
         else:  # converged: certify once
             best = max(best, top)
             gamma = best * (1.0 + _L04_LEVEL)
-    return 0.5 * best, 0.5 * gamma, evals
+    return float(np.ldexp(0.5 * best, e)), float(np.ldexp(0.5 * gamma, e)), evals
 
 
 def _l04(a) -> BoundReport:

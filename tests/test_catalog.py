@@ -530,6 +530,24 @@ def test_lemma_l04_is_scale_invariant():
             assert rep.lhs <= rep.rhs  # without the absolute floor ATOL
 
 
+@pytest.mark.parametrize("a", [
+    [[1e-315]],
+    [[1e-320, 2e-320], [0.0, 1e-320]],
+    [[5e-324]],
+    [[1e308, 1e308], [0.0, 1e308]],
+], ids=["subnormal-1x1", "subnormal-2x2", "least-subnormal", "near-overflow"])
+def test_lemma_l04_sup_form_at_the_ends_of_the_float_range(a):
+    # the sup form is computed on A scaled by a power of two, so a
+    # subnormal A neither stalls its certificate level at best nor takes
+    # the level-set pencil out of range, and A + e^{i theta} A* of an A
+    # near the overflow threshold stays finite
+    rep = check_lemma("L04", a=a)
+    assert rep.status() == "pass"
+    sup, sup_upper = rep.params["sup_form"], rep.params["sup_upper"]
+    assert 0.0 < sup <= sup_upper <= rep.params["upper"] * (1.0 + 1e-11)
+    assert rep.params["evaluations"] <= L04_GRID + 32
+
+
 def _understated_radius(monkeypatch, r, low):
     monkeypatch.setattr(catalog, "numerical_radius",
                         lambda m: RadiusResult(low, r.theta, r.witness, 0,
