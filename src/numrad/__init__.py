@@ -48,7 +48,6 @@ from .matrixcore import (
     HermEigen,
     PolarParts,
     abs_op,
-    adjoint,
     apply_fn,
     as_cmatrix,
     general_eigenvalues,
@@ -74,7 +73,6 @@ from .radii import (
     RadiusResult,
     numerical_radius,
     numerical_radius_oracle,
-    omega_blockdiag,
     spectral_radius,
 )
 

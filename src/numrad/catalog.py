@@ -35,7 +35,6 @@ from .errors import (
     IncompatibleBoundsError,
     InvalidSpecError,
     NonFiniteError,
-    NotSquareError,
     UnknownBoundIdError,
 )
 from .matrixcore import (
@@ -61,7 +60,7 @@ from .meansfuncs import (
     psd_pow,
     spectrum_bounds,
 )
-from .radii import numerical_radius, omega_blockdiag, spectral_radius
+from .radii import _radius_stack, numerical_radius, spectral_radius
 
 __all__ = [
     "ATOL",
@@ -284,15 +283,6 @@ def _by_id(k, member):
 # call; a direct call is a stack of one (`_alone`).
 
 
-def _radius_input(m) -> np.ndarray:
-    """``m``, a matrix or a stack, as a stack validated as
-    `numerical_radius` validates a matrix."""
-    m = _as_stack(m, "A")[0]
-    if m.shape[-2] != m.shape[-1]:
-        raise NotSquareError(f"numerical radius needs square input, got {m.shape[-2:]}")
-    return m
-
-
 def _operands(*ms, one_width=True) -> list:
     """Operand stacks A, B, X (as many as given) in the claims' setting:
     A and B map a space H into K, one shape m x n, and X acts on K,
@@ -314,7 +304,7 @@ def radius_values(mats) -> list:
     `numerical_radius` call per size; an entry that is a (k, n, n) stack
     gives the list of its k members' values, and a stack of no members
     reads nothing."""
-    stacks = [m if np.ndim(m) == 3 and not len(m) else _radius_input(m) for m in mats]
+    stacks = [m if np.ndim(m) == 3 and not len(m) else _radius_stack(m)[0] for m in mats]
     by_size = {}
     for i, m in enumerate(stacks):
         if len(m):
@@ -417,7 +407,7 @@ def _classics(a, b, x, p=1.0):
     ws = yield tuple(_finite_square(m) for m in ins)
 
     def w(i):  # the radii of ins[i], raising as `numerical_radius` would
-        _radius_input(ins[i])
+        _radius_stack(ins[i])
         return ws[i]
 
     def b01():
@@ -685,7 +675,7 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     pair = _each(pair, k)
     hf = [_need_kind(v, "increasing") for v in _each(h, k)]
     p = [_need_power(v) for v in _each(p, k)]
-    a = _radius_input(a)
+    a = _radius_stack(a)[0]
     fa, ga, at = _aluthge_parts(a, pair)
     w, wt = yield a, at
     nf, ng, n15 = _norms(fa, ga, _sum_of(_fn_of, _sym(fa @ fa), _sym(ga @ ga), hf))
@@ -1013,10 +1003,14 @@ def _l04(a) -> BoundReport:
     verdict is the uniform rule, lhs <= rhs + ATOL + RTOL * rhs, so below
     ||A|| ~ 10 its absolute floor ATOL, not L04_TOL * upper, sets the
     limit.  ``params["evaluations"]`` counts the sigma_max evaluations.
+    A radius above the largest float raises NonFiniteError.
     """
     a = as_cmatrix(a, "A")
-    r = numerical_radius(a)
-    sup, sup_upper, evals = _sup_form(a)
+    with np.errstate(over="ignore"):
+        r = numerical_radius(a)
+        sup, sup_upper, evals = _sup_form(a)
+    if not (math.isfinite(r.upper) and math.isfinite(sup_upper)):
+        raise NonFiniteError("the numerical radius of A overflows to inf")
     meet = sup <= r.upper and r.value <= sup_upper
     return _report("L04", abs(r.value - sup), L04_TOL * r.upper if meet else 0.0,
                    {"grid": L04_GRID, "sup_form": sup, "sup_upper": sup_upper,
@@ -1033,7 +1027,7 @@ def _l05(a, b) -> BoundReport:
             [np.zeros((b.shape[0], a.shape[1])), b],
         ])
     ).value
-    byparts = omega_blockdiag([a, b])
+    byparts = max(radius_values([a, b]))
     return _report("L05", abs(direct - byparts), L05_TOL, {"block": direct})
 
 
@@ -1177,11 +1171,11 @@ class Family:
     """Bounds that one evaluator reports together, in its return order.
 
     ``name`` salts the campaign seeds, so it never changes.  ``evaluator``
-    is the name in this module of the family's staged evaluator, looked
-    up at call time, so a wrapper set on the module attribute sees every
-    call.  It takes ``operands`` positionally, as stacks of trials, and
-    each key of ``grids`` as a keyword, one value per trial; it yields
-    once the stacks whose radii it reads (classics: A, B*A, AB*, A*XB;
+    is the family's staged evaluator.  It takes ``operands`` positionally,
+    as stacks of trials, and each key of ``grids`` as a keyword, one value
+    per trial; its signature holds the only default of each key, which
+    `evaluate_bound` and ``numrad check`` use for a key not given.  It
+    yields once the stacks whose radii it reads (classics: A, B*A, AB*, A*XB;
     block: A*XB, XBA*, BA*X; ...), and returns its reports, one list per
     id.  Campaigns cycle each grid by trial index.  ``commuting_x``
     marks a family whose hypothesis needs X to commute with |A*|.
@@ -1194,7 +1188,7 @@ class Family:
     name: str
     ids: tuple
     operands: tuple
-    evaluator: str
+    evaluator: Callable
     grids: dict = field(default_factory=dict)
     commuting_x: bool = False
     reads: dict = field(default_factory=dict)
@@ -1208,27 +1202,27 @@ _ABX = ("a", "b", "x")
 
 FAMILIES = (
     Family("classics", ("B01", "B02", "B03", "B04", "B05"), _ABX,
-           "_classics", {"p": P_GRID},
+           _classics, {"p": P_GRID},
            reads={"B01": ("a",), "B02": ("a",),
                   "B03": ("a", "b", "p"), "B04": ("a", "b", "p")}),
-    Family("mean_h", ("B06", "B06p"), _ABX, "_mean_h",
+    Family("mean_h", ("B06", "B06p"), _ABX, _mean_h,
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID}),
-    Family("mean_h_weighted", ("B07",), _ABX, "_mean_h_weighted",
+    Family("mean_h_weighted", ("B07",), _ABX, _mean_h_weighted,
            {"pair": PAIR_GRID, "h": H_DEC_GRID, "sigma": SIGMA_GRID,
             "nu": NU_GRID}),
-    Family("omega_harmonic", ("B08", "B09", "B10"), _ABX, "_omega_harmonic",
+    Family("omega_harmonic", ("B08", "B09", "B10"), _ABX, _omega_harmonic,
            {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID},
            reads={"B08": (*_ABX, "pair"), "B09": (*_ABX, "pair", "h"),
                   "B10": (*_ABX, "pair", "p")}),
-    Family("mox", ("B11", "B12"), ("a", "b"), "_mox",
+    Family("mox", ("B11", "B12"), ("a", "b"), _mox,
            {"h": H_INC_GRID, "p": P_GRID},
            reads={"B11": ("a", "b", "h"), "B12": ("a", "b", "p")}),
-    Family("aluthge", ("B13", "B15"), ("a",), "_aluthge",
+    Family("aluthge", ("B13", "B15"), ("a",), _aluthge,
            {"pair": PAIR_GRID, "h": H_INC_GRID, "p": P_GRID},
            reads={"B13": ("a", "pair", "p"), "B15": ("a", "pair", "h")}),
-    Family("block", ("B14",), _ABX, "_block"),
-    Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, "_symmetrized"),
-    Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, "_alpha",
+    Family("block", ("B14",), _ABX, _block),
+    Family("symmetrized", ("B16a", "B16b", "B17"), _ABX, _symmetrized),
+    Family("alpha", ("B18", "B19", "B20", "B21"), _ABX, _alpha,
            {"pair": PAIR_GRID, "h": H_ALPHA_GRID, "nu": NU_GRID},
            commuting_x=True,
            # B20 and B21 pin their pair to f = t^{1-nu}, g = t^nu
@@ -1262,7 +1256,7 @@ def stage_family(family: Family, mats: dict, **params):
     values, one list per stack, in order) returns one tuple of reports
     per trial, each in ``family.ids`` order.
     """
-    return _stage(globals()[family.evaluator](
+    return _stage(family.evaluator(
         *(mats[n] for n in family.operands), **params))
 
 
@@ -1272,7 +1266,7 @@ def evaluate_family(family: Family, mats: dict, **params) -> tuple:
 
     Returns one report per id, in ``family.ids`` order.
     """
-    return _alone(globals()[family.evaluator],
+    return _alone(family.evaluator,
                   [mats[n] for n in family.operands], **params)
 
 
@@ -1283,8 +1277,8 @@ def required_operands(bound_id: str) -> tuple[str, ...]:
     return tuple(n for n in fam.operands if n in fam.reads_of(bound_id))
 
 
-def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
-                   nu: float = 0.5, pair="sqrt", h=None, sigma="arith"):
+def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
+                   nu=None, pair=None, h=None, sigma=None):
     """Evaluate a single catalogued bound by ID, by running its family.
 
     Operands and parameters the bound does not read (`Family.reads`) are
@@ -1294,9 +1288,8 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
     operand or key that only a sibling reads can change or fail the
     report, and in B01-B05, whose ids read different operands, neither
     can a sibling's formula.  Missing required operands raise
-    InvalidSpecError.  ``h`` defaults to the family evaluator's own
-    default: "inv" for the decreasing-function family (B06-B07), "pow:1"
-    elsewhere.
+    InvalidSpecError.  A grid key left None takes the family evaluator's
+    default.
     """
     fam = family_of(bound_id)
     reads, need = fam.reads_of(bound_id), required_operands(bound_id)
@@ -1308,7 +1301,7 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p: float = 1.0,
         np.shape(a)[:1] * 2 if n == "x" else np.shape(a)) for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
     params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
-    rep, = _alone(globals()[fam.evaluator], [mats[n] for n in fam.operands],
+    rep, = _alone(fam.evaluator, [mats[n] for n in fam.operands],
                   fam.ids.index(bound_id), **params)
     return replace(rep, params={k: v for k, v in rep.params.items()
                                 if k in reads or k not in fam.grids})

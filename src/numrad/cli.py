@@ -232,14 +232,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="evaluate one catalogued bound or lemma")
     ck.add_argument("--bound", required=True)
-    for flag in ("A", "B", "X", "Y", "A2", "B2", "V"):
+    # the bounds' operands, then every lemma's
+    for flag in dict.fromkeys(
+            ("A", "B", "X", *(f for lem in LEMMAS.values() for f in lem.flags))):
         ck.add_argument(f"--{flag}", default=None, help=f"matrix file for {flag}")
-    ck.add_argument("--p", type=float, default=1.0)
-    ck.add_argument("--nu", type=float, default=0.5)
-    ck.add_argument("--h", default=None)
-    ck.add_argument("--pair", default="sqrt")
-    ck.add_argument("--sigma", default="arith")
-    ck.add_argument("--tau", default=None)
+    ck.add_argument("--p", type=float)
+    ck.add_argument("--nu", type=float)
+    ck.add_argument("--h")
+    ck.add_argument("--pair")
+    ck.add_argument("--sigma")
+    ck.add_argument("--tau")
     ck.add_argument("--tol", type=float, default=None,
                     help="override both tolerance constants")
     ck.add_argument("--json", action="store_true")

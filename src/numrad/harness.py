@@ -421,16 +421,14 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
                 for bid, rep in zip(family.ids, reports):
                     if bid not in wanted:
                         continue
-                    status = "info" if info else rep.status(cfg.atol, cfg.rtol)
-                    if status == "fail":
+                    row = _row(bid, t, dim, seed, rep,
+                               "info" if info else rep.status(cfg.atol, cfg.rtol))
+                    rows[i].append(row)
+                    if row["status"] == "fail":
+                        # a failure record is its verdict row without the
+                        # status, plus what replays it
                         failures[i].append({
-                            "bound_id": bid,
-                            "trial": t,
-                            "dim": dim,
-                            "seed": seed,
-                            "lhs": rep.lhs,
-                            "rhs": rep.rhs,
-                            "slack": rep.slack,
+                            **{k: v for k, v in row.items() if k != "status"},
                             "params": {k: rep.params[k] for k in family.grids
                                        if k in rep.params},
                             "inputs": {
@@ -438,7 +436,6 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
                                 for name in required_operands(bid)
                             },
                         })
-                    rows[i].append(_row(bid, t, dim, seed, rep, status))
     for (_, _, info, _, _), out, failed in zip(runs, rows, failures):
         (report.info_rows if info else report.rows).extend(out)
         report.failures.extend(failed)

@@ -7,7 +7,7 @@ to re-check.  Matrices are plain ``complex128`` ndarrays; structured results
 
 Conventions:
 
-* the adjoint is written ``A*`` in docstrings and computed by `adjoint`,
+* the adjoint is written ``A*`` in docstrings,
 * Hermitian eigenvalues are returned in ascending order,
 * ``|A|`` always means the positive-semidefinite factor ``(A* A)^(1/2)``;
   `moduli` factorizes |A| and |A*| from one SVD, and `abs_op` and `polar`
@@ -41,7 +41,6 @@ __all__ = [
     "HermEigen",
     "PolarParts",
     "as_cmatrix",
-    "adjoint",
     "herm_eigen",
     "general_eigenvalues",
     "op_norm",
@@ -191,11 +190,6 @@ def _pair(fn, x, y, *args):
     return z[:k], z[k:]
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose A*."""
-    return as_cmatrix(a, "A").conj().T
-
-
 def herm_eigen(h) -> HermEigen:
     """Eigen-decompose a Hermitian matrix, or each member of a stack; a
     HermEigen is returned as is.
@@ -337,9 +331,7 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
         vals[j] = _fn_row(fns[j], args[j], names[j])
     if not np.isfinite(vals).all():
         j = np.isfinite(vals).all(axis=1).argmin()
-        raise DomainViolationError(
-            f"{names[j]} is not finite on [{np.min(args[j]):.6g}, {np.max(args[j]):.6g}]"
-        )
+        _fn_values(fns[j], args[j], names[j])  # raises DomainViolationError
     return e.compose(vals if w.ndim == 2 else vals[0])
 
 

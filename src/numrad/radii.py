@@ -1,4 +1,4 @@
-"""Numerical radius, spectral radius, and block-diagonal helpers.
+"""Numerical radius and spectral radius.
 
 The numerical radius of a square complex matrix is
 
@@ -35,6 +35,10 @@ the scans of 32 members at n = 16), so its working memory stays bounded.
 `numerical_radius_oracle` is an independent cross-check: alternating
 ascent on (x, theta), which climbs monotonically and shares no code with
 `numerical_radius`.
+
+`_radius_stack` is the one input rule of a radius: a matrix or a stack,
+finite and square.  `catalog` validates every radius input it stages
+with it, so a staged radius fails as `numerical_radius` would.
 """
 
 from __future__ import annotations
@@ -43,15 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, NotSquareError
-from .matrixcore import as_cmatrix, general_eigenvalues
+from .errors import NonFiniteError, NotSquareError
+from .matrixcore import _as_stack, as_cmatrix, general_eigenvalues
 
 __all__ = [
     "RadiusResult",
     "numerical_radius",
     "numerical_radius_oracle",
     "spectral_radius",
-    "omega_blockdiag",
 ]
 
 _COARSE = 32        # equispaced angles of the coarse scan of [0, 2 pi)
@@ -270,6 +273,15 @@ def _certify(a: np.ndarray, top: np.ndarray) -> list:
             for j in range(k)]
 
 
+def _radius_stack(a) -> tuple[np.ndarray, bool]:
+    """(``a`` as a finite complex (k, n, n) stack, whether it was one 2-D
+    matrix), or the error `numerical_radius` raises on it."""
+    s, flat = _as_stack(a, "A")
+    if s.shape[-2] != s.shape[-1]:
+        raise NotSquareError(f"numerical radius needs square input, got {s.shape[-2:]}")
+    return s, flat
+
+
 def numerical_radius(a):
     """Certified numerical radius w(A) = max over theta of f(theta).
 
@@ -301,30 +313,26 @@ def numerical_radius(a):
     holds at most _CHUNK = 2^17 complex entries (32 members at n = 16),
     so that the working memory of a long stack stays bounded.
 
-    Non-finite entries raise NonFiniteError (a ValueError).
+    Inputs are checked by `_radius_stack`.  Non-finite entries, or a
+    finite entry whose modulus overflows, raise NonFiniteError (a
+    ValueError).
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim not in (2, 3):
-        raise DimensionMismatchError(
-            f"A must be 2-D or a stack of 2-D matrices, got ndim={arr.ndim}")
-    stack = np.ascontiguousarray(arr if arr.ndim == 3 else arr[None])
+    stack, flat = _radius_stack(a)
     top = np.abs(stack).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(top).all():
-        raise NonFiniteError("A contains non-finite entries")
-    if arr.shape[-2] != arr.shape[-1]:
-        raise NotSquareError(f"numerical radius needs square input, got {arr.shape}")
+        raise NonFiniteError("A has an entry whose modulus overflows")
     k, n = stack.shape[0], stack.shape[-1]
     out = [None] * k
     todo = np.flatnonzero(top)
     size = max(1, _CHUNK // (_HALF * n * n or 1))
     for at in range(0, todo.size, size):
         part = todo[at:at + size]
-        for j, r in zip(part.tolist(), _certify(stack[part], top[part])):
+        for j, r in zip(part.tolist(), _certify(np.ascontiguousarray(stack[part]), top[part])):
             out[j] = r
     # w(0) = 0, with any unit vector as witness
     out = [RadiusResult(0.0, 0.0, np.eye(1, n, dtype=np.complex128)[0], 0, 0.0)
            if r is None else r for r in out]
-    return out[0] if arr.ndim == 2 else out
+    return out[0] if flat else out
 
 
 def numerical_radius_oracle(
@@ -335,8 +343,9 @@ def numerical_radius_oracle(
     From a random unit x, alternately set theta = -arg <Ax, x> and
     replace x by the top eigenvector of Re(e^{i theta} A).  Both moves
     are non-decreasing in |<Ax, x>|, so each restart converges; the max
-    over ``restarts`` starts is returned.  Shares no code path with the
-    sweep in `numerical_radius`.
+    over ``restarts`` starts is returned.  It shares no code with
+    `numerical_radius`'s coarse scan, Newton polish or level-set
+    certificate, nor with its input check.
     """
     a = as_cmatrix(a, "A")
     if a.shape[0] != a.shape[1]:
@@ -370,13 +379,3 @@ def spectral_radius(a):
     ev = general_eigenvalues(a)
     r = np.abs(ev).max(axis=-1, initial=0.0)
     return float(r) if ev.ndim == 1 else r
-
-
-def omega_blockdiag(blocks) -> float:
-    """Numerical radius of diag(blocks): the max over the blocks.
-
-    The numerical range of a direct sum is the convex hull of the
-    blocks' ranges, so no cross terms can enlarge the radius.
-    """
-    vals = [numerical_radius(b).value for b in blocks]
-    return max(vals, default=0.0)

@@ -43,6 +43,7 @@ from numrad.catalog import (
     evaluate_bound,
     evaluate_family,
     family_of,
+    radius_values,
     required_operands,
     _report,
 )
@@ -548,6 +549,13 @@ def test_lemma_l04_sup_form_at_the_ends_of_the_float_range(a):
     assert rep.params["evaluations"] <= L04_GRID + 32
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lemma_l04_radius_above_the_float_range_raises():
+    # w(A) = 3.4e308: a typed error, not a verdict on lhs = nan
+    with pytest.raises(NonFiniteError, match="overflows"):
+        check_lemma("L04", a=np.full((2, 2), 1.7e308))
+
+
 def _understated_radius(monkeypatch, r, low):
     monkeypatch.setattr(catalog, "numerical_radius",
                         lambda m: RadiusResult(low, r.theta, r.witness, 0,
@@ -610,6 +618,10 @@ def test_lemma_l05_block_diag():
     rng = np.random.default_rng(59)
     rep = check_lemma("L05", a=_rand(rng, 3), b=_rand(rng, 2))
     assert rep.satisfied
+    # w(diag(J, [2])) = max(1/2, 2)
+    rep = check_lemma("L05", a=np.array([[0, 1], [0, 0]]), b=np.array([[2.0]]))
+    assert rep.satisfied and rep.lhs <= 1e-8
+    assert rep.params["block"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_lemma_l06_identity_equality_and_randoms():
@@ -917,10 +929,13 @@ def test_operands_fit_the_claims_setting():
         check_block(wide, wide2, wide)
     with pytest.raises(NotSquareError):
         check_aluthge(wide)
-    with pytest.raises(NotSquareError):
+    # a staged radius says what `numerical_radius` says
+    with pytest.raises(NotSquareError,
+                       match=r"^numerical radius needs square input, got \(2, 3\)$"):
         evaluate_bound("B01", a=wide)
-    # w(B*A), w(AB*), w(A*B), w(BA*) and w(A*XB) need no square A or B
-    for bid in ("B03", "B04", "B05", "B11", "B12", "B14"):
+    # w(B*A), w(AB*), w(A*B), w(BA*), w(A*XB) and w(X) need no square A
+    # or B; B16a-B17's norms of A, B and AB* take their mixed shapes
+    for bid in ("B03", "B04", "B05", "B11", "B12", "B14", "B16a", "B16b", "B17"):
         rep = evaluate_bound(bid, a=wide, b=wide2, x=a2)
         assert rep.status() == "pass", bid
     # B06-B10 let A and B differ in width: P = B*|X|B is then singular
@@ -929,6 +944,20 @@ def test_operands_fit_the_claims_setting():
         assert evaluate_bound(bid, a=a2, b=wide, x=a2).status() == "skip", bid
     # B01 does not read B, so B's shape does not matter
     assert evaluate_bound("B01", a=a2, b=a3).status() == "pass"
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(3), np.zeros((1, 1, 2, 2)), np.zeros((2, 3)), np.zeros((4, 2, 3)),
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+], ids=["1-D", "4-D", "2x3", "2x3-stack", "nan"])
+def test_radius_inputs_are_checked_by_one_rule(bad):
+    # numerical_radius and the catalog's staged radii raise the same error
+    with pytest.raises(NumradError) as direct:
+        numerical_radius(bad)
+    with pytest.raises(NumradError) as staged:
+        radius_values([bad])
+    assert type(staged.value) is type(direct.value)
+    assert str(staged.value) == str(direct.value)
 
 
 def test_b01_to_b05_alone_make_one_radius_call(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from numrad.catalog import check_lemma
+from numrad.catalog import LEMMAS, check_lemma
 from numrad.cli import load_matrix, main
 from numrad.harness import doc_to_matrix, matrix_to_doc, replay_failure
 
@@ -87,6 +87,15 @@ def test_eval_kantorovich(capsys, tmp_path):
     assert f"= {25 / 16}" in out
 
 
+def test_eval_hypothesis_violation_exits_four(capsys, tmp_path):
+    # a 0x0 matrix has no spectrum to bound
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    assert main(["eval", "--q", "kantorovich", "--in", str(e)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hypothesis not met: ") and len(err.splitlines()) == 1
+
+
 def test_eval_unknown_quantity(ident):
     assert main(["eval", "--q", "determinant", "--in", ident]) == 3
 
@@ -148,6 +157,22 @@ def test_check_b19_skips_large_spectral_radius(tmp_path, jordan):
 def test_check_missing_operand_and_unknown_bound(ident):
     assert main(["check", "--bound", "B05", "--A", ident, "--B", ident]) == 3
     assert main(["check", "--bound", "B99", "--A", ident]) == 3
+
+
+def test_check_offers_every_lemma_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    out = capsys.readouterr().out
+    for flag in {f for lem in LEMMAS.values() for f in lem.flags} | {"A", "B", "X"}:
+        assert f"--{flag} {flag}" in out, flag
+
+
+def test_check_without_parameters_reports_the_evaluator_defaults(capsys, tmp_path, ident):
+    x = _write(tmp_path, "x.json", np.diag([2.0, 3.0]))
+    assert main(["check", "--bound", "B06", "--A", ident, "--B", ident,
+                 "--X", x, "--json"]) == 1
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert (params["pair"], params["h"], params["sigma"]) == ("sqrt", "inv", "arith")
 
 
 def test_check_json_report(capsys, jordan):
@@ -331,6 +356,16 @@ def test_check_overflow_prints_the_error_alone(capsys, tmp_path, bound):
     assert out == ""
     assert err.splitlines() == [
         "error: a matrix formed from the operands overflowed to non-finite entries"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_l04_radius_overflow_is_a_precondition_error(capsys, tmp_path):
+    # w(A) = 3.4e308 of a 2x2 of 1.7e308 exceeds the largest float
+    a = _write(tmp_path, "a.json", np.full((2, 2), 1.7e308))
+    assert main(["check", "--bound", "L04", "--A", a]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: the numerical radius of A overflows to inf"]
 
 
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):

@@ -257,6 +257,19 @@ def test_campaign_records_replayable_failures():
     assert replay_failure(rec3).slack == rec["slack"]
 
 
+def test_failure_record_is_its_row_plus_what_replays_it():
+    cfg = CampaignConfig(bounds=("B06", "B07", "B08", "B09", "B10"), trials=24, seed=5)
+    rep = run_campaign(cfg)
+    rows = {(r["bound_id"], r["trial"]): r for r in rep.rows}
+    assert len(rep.failures) == sum(r["status"] == "fail" for r in rep.rows) > 0
+    for rec in rep.failures:
+        row = rows[rec["bound_id"], rec["trial"]]
+        assert row["status"] == "fail"
+        assert {k: v for k, v in rec.items() if k not in ("params", "inputs")} \
+            == {k: v for k, v in row.items() if k != "status"}
+        assert set(rec) == set(row) - {"status"} | {"params", "inputs"}
+
+
 @pytest.mark.parametrize("block, trials, dims", [
     pytest.param(None, 8, (1, 2, 3, 5, 16), id="None"),
     pytest.param(3, 8, (1, 2, 3, 5, 16), id="3"),
@@ -421,6 +434,13 @@ def test_sharpness_on_fixed_inputs():
     assert rep.mean_gap == pytest.approx(8.014740522962525, abs=1e-9)
     assert rep.pairs[0][0] == pytest.approx(51.525980492047765, abs=1e-9)
     assert rep.pairs[0][1] == pytest.approx(59.54072101501029, abs=1e-9)
+
+
+def test_sharpness_counts_a_failed_gate_as_skipped():
+    # B = 0 makes P = 0, which fails B06's and B08's positive-definite gate
+    rep = sharpness_compare("B06", "B08", inputs=(EX2_A, np.zeros((2, 2)), EX2_X))
+    assert (rep.trials, rep.skipped, rep.evaluated) == (1, 1, 0)
+    assert rep.pairs == () and math.isnan(rep.mean_gap)
 
 
 def test_sharpness_counts_are_consistent():

@@ -13,7 +13,6 @@ from numrad.errors import (
 )
 from numrad.matrixcore import (
     abs_op,
-    adjoint,
     apply_fn,
     as_cmatrix,
     general_eigenvalues,
@@ -42,11 +41,6 @@ def test_as_cmatrix_rejects_nonfinite():
         as_cmatrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_cmatrix([[np.inf, 0], [0, 1]])
-
-
-def test_adjoint_is_conjugate_transpose():
-    a = np.array([[1 + 2j, 3], [4j, 5]])
-    assert_allclose(adjoint(a), a.conj().T)
 
 
 def test_herm_eigen_hand_values():

@@ -10,7 +10,6 @@ from numrad.errors import NonFiniteError, NotSquareError
 from numrad.radii import (
     numerical_radius,
     numerical_radius_oracle,
-    omega_blockdiag,
     spectral_radius,
 )
 
@@ -237,6 +236,9 @@ def test_non_finite_input_raises_the_typed_error():
     stack[1, 2, 0] = np.inf
     with pytest.raises(NonFiniteError, match="non-finite"):
         numerical_radius(stack)
+    # finite entries whose modulus overflows
+    with pytest.raises(NonFiniteError, match="modulus overflows"):
+        numerical_radius(np.array([[1.7e308 + 1.7e308j]]))
 
 
 def test_half_scan_matches_the_full_scan():
@@ -290,14 +292,3 @@ def test_campaign_wide_dimension_is_one_chunk(monkeypatch):
     assert scans == [32, 8]
     assert [_fields(r) for r in got] == alone
 
-
-def test_omega_blockdiag_is_max_of_blocks():
-    blocks = [np.array([[0, 1], [0, 0]]), np.array([[2.0]])]
-    assert omega_blockdiag(blocks) == pytest.approx(2.0, abs=1e-9)
-    assert omega_blockdiag([]) == 0.0
-    # agreement with the assembled direct sum
-    big = np.zeros((3, 3), dtype=complex)
-    big[:2, :2] = blocks[0]
-    big[2, 2] = 2.0
-    assert numerical_radius(big).value == pytest.approx(
-        omega_blockdiag(blocks), abs=1e-8)
