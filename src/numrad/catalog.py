@@ -86,7 +86,6 @@ __all__ = [
     "check_alpha",
     "check_lemma",
     "evaluate_bound",
-    "evaluate_family",
     "radius_values",
     "stage_family",
     "family_of",
@@ -168,8 +167,12 @@ def _within(slack, rhs, atol, rtol) -> bool:
 
 
 def _report(bid, lhs, rhs, params=None, hypothesis_ok=True, note="") -> BoundReport:
+    """A report on lhs <= rhs; a side that is not finite, such as a radius
+    above the largest float, raises NonFiniteError."""
     lhs = float(lhs)
     rhs = float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFiniteError(f"{bid}: a side overflows to non-finite (lhs = {lhs}, rhs = {rhs})")
     slack = rhs - lhs
     return BoundReport(bid, lhs, rhs, slack, _within(slack, rhs, ATOL, RTOL),
                        hypothesis_ok, note, dict(params or {}))
@@ -280,22 +283,22 @@ def _by_id(k, member):
 # member j's reports equal those of trial j evaluated alone bit for bit.
 # A campaign stages each family's trials of one dimension as one stack and
 # computes every radius of one size in one stacked `numerical_radius`
-# call; a direct call is a stack of one (`_alone`).
+# call; `_alone` runs a direct call (`check_*`, `evaluate_bound`) on its
+# stack of trials, a matrix being a stack of one.
 
 
-def _operands(*ms, one_width=True) -> list:
+def _operands(*ms) -> list:
     """Operand stacks A, B, X (as many as given) in the claims' setting:
     A and B map a space H into K, one shape m x n, and X acts on K,
-    m x m; otherwise DimensionMismatchError.
-    B06-B10 take ``one_width=False``: A and B of different widths give P
-    and Q on different spaces, which their gate skips."""
+    m x m, each with one member per trial; otherwise
+    DimensionMismatchError."""
     ms = [_as_stack(m, name)[0] for m, name in zip(ms, "ABX")]
-    rows, width = ms[0].shape[-2:]
+    k, rows, width = ms[0].shape
     for m, name in zip(ms[1:], "BX"):
-        cols = rows if name == "X" else width if one_width else m.shape[-1]
-        if m.shape[-2:] != (rows, cols):
-            raise DimensionMismatchError(
-                f"{name} is {m.shape[-2:]}, A is {ms[0].shape[-2:]}")
+        if m.shape[-2:] != (rows, rows if name == "X" else width):
+            raise DimensionMismatchError(f"{name} is {m.shape[-2:]}, A is {(rows, width)}")
+        if len(m) != k:
+            raise DimensionMismatchError(f"{name} has {len(m)} members, A has {k}")
     return ms
 
 
@@ -327,9 +330,8 @@ def _quiet():
 def _stage(gen):
     """(radius inputs, finish) of a started staged evaluator: finish(values)
     sends it the radii and returns one tuple of reports per member, in id
-    order; with ``only``, each tuple holds the report at that id index
-    alone.  The evaluator and the report builders it returns run under
-    `_quiet`."""
+    order; with ``only``, the report at that id index of each member.  The
+    evaluator and the report builders it returns run under `_quiet`."""
     with _quiet():
         inputs = next(gen)
 
@@ -338,28 +340,34 @@ def _stage(gen):
             try:
                 gen.send(tuple(values))
             except StopIteration as done:
-                cols = done.value if only is None else done.value[only:only + 1]
-                return list(zip(*(c() if callable(c) else c for c in cols)))
+                cols = [c() if callable(c) else c for c in (
+                    done.value if only is None else done.value[only:only + 1])]
+                return list(zip(*cols)) if only is None else cols[0]
         raise RuntimeError("a staged evaluator yields once")
 
     return inputs, finish
 
 
 def _alone(evaluator, operands, only=None, **params):
-    """A staged evaluator's reports on one trial, as a stack of one: its
-    matrices ``operands`` (named A, B, X in order) and one value per grid
-    key in ``params``; with ``only``, the report at that id index alone.
+    """A staged evaluator's reports on its matrices ``operands`` (named A,
+    B, X in order), each a matrix or a (k, m, n) stack of trials, and the
+    grid keys ``params``, each one value or a list of k: per member, one
+    tuple of reports in id order, or with ``only`` the report at that id
+    index; of matrices, a stack of one, the one member's.
 
     The operands are checked here, so a NonFiniteError met later comes
     from a matrix that overflowed while a formula formed it, and says so
     rather than naming the slot of the function that met it."""
-    stacks = [as_cmatrix(m, name)[None] for m, name in zip(operands, "ABX")]
+    # C order, as campaigns stack their draws: the layout picks the matmul
+    # kernel, and kernels differ in the last bit
+    stacks = [np.ascontiguousarray(_as_stack(m, name)[0]) for m, name in zip(operands, "ABX")]
     try:
-        inputs, finish = _stage(evaluator(*stacks, **{k: [v] for k, v in params.items()}))
-        return finish(radius_values(inputs), only)[0]
+        inputs, finish = _stage(evaluator(*stacks, **params))
+        reports = finish(radius_values(inputs), only)
     except NonFiniteError as exc:
         raise NonFiniteError(
             "a matrix formed from the operands overflowed to non-finite entries") from exc
+    return reports[0] if np.ndim(operands[0]) == 2 else reports
 
 
 def _finite_square(m) -> np.ndarray:
@@ -513,7 +521,7 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     k = len(a)
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
-    a, b, x = _operands(a, b, x, one_width=False)
+    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": 0.5}
               for pr, f, sg in zip(pair, hf, sigma)]
@@ -540,7 +548,7 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
 
     where (m, M, k) come from the powered pair.  0 < nu < 1.
     """
-    return _alone(_mean_h_weighted, (a, b, x), pair=pair, h=h, sigma=sigma, nu=nu)[0]
+    return _alone(_mean_h_weighted, (a, b, x), 0, pair=pair, h=h, sigma=sigma, nu=nu)
 
 
 def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
@@ -550,7 +558,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     nu = [_need_weight(v) for v in _each(nu, k)]
-    a, b, x = _operands(a, b, x, one_width=False)
+    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     pw, qw = _pair(psd_pow, p_mat, q_mat,
                    [1.0 / (1.0 - v) for v in nu] + [1.0 / v for v in nu])
@@ -587,7 +595,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     pair = _each(pair, k)
     hf = [_need_kind(v, "increasing") for v in _each(h, k)]
     p = [_need_power(v) for v in _each(p, k)]
-    a, b, x = _operands(a, b, x, one_width=False)
+    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = [{"pair": str(pr), "h": f.name, "p": e} for pr, f, e in zip(pair, hf, p)]
     ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
@@ -692,7 +700,7 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
 
 def check_block(a, b, x) -> BoundReport:
     """B14: w(A*XB) <= ||AA*X + XBB*|| / 4 + max(w(XBA*), w(BA*X)) / 2."""
-    return _alone(_block, (a, b, x))[0]
+    return _alone(_block, (a, b, x), 0)
 
 
 def _block(a, b, x):
@@ -985,7 +993,8 @@ def _sup_form(a) -> tuple[float, float, int]:
         else:  # converged: certify once
             best = max(best, top)
             gamma = best * (1.0 + _L04_LEVEL)
-    return float(np.ldexp(0.5 * best, e)), float(np.ldexp(0.5 * gamma, e)), evals
+    with np.errstate(over="ignore"):  # a sup form above the largest float is inf
+        return float(np.ldexp(0.5 * best, e)), float(np.ldexp(0.5 * gamma, e)), evals
 
 
 def _l04(a) -> BoundReport:
@@ -1003,14 +1012,11 @@ def _l04(a) -> BoundReport:
     verdict is the uniform rule, lhs <= rhs + ATOL + RTOL * rhs, so below
     ||A|| ~ 10 its absolute floor ATOL, not L04_TOL * upper, sets the
     limit.  ``params["evaluations"]`` counts the sigma_max evaluations.
-    A radius above the largest float raises NonFiniteError.
+    A radius above the largest float gives a side that `_report` rejects.
     """
     a = as_cmatrix(a, "A")
-    with np.errstate(over="ignore"):
-        r = numerical_radius(a)
-        sup, sup_upper, evals = _sup_form(a)
-    if not (math.isfinite(r.upper) and math.isfinite(sup_upper)):
-        raise NonFiniteError("the numerical radius of A overflows to inf")
+    r = numerical_radius(a)
+    sup, sup_upper, evals = _sup_form(a)
     meet = sup <= r.upper and r.value <= sup_upper
     return _report("L04", abs(r.value - sup), L04_TOL * r.upper if meet else 0.0,
                    {"grid": L04_GRID, "sup_form": sup, "sup_upper": sup_upper,
@@ -1260,16 +1266,6 @@ def stage_family(family: Family, mats: dict, **params):
         *(mats[n] for n in family.operands), **params))
 
 
-def evaluate_family(family: Family, mats: dict, **params) -> tuple:
-    """Evaluate a family once on ``mats`` (operand name -> matrix), as a
-    stack of one trial.
-
-    Returns one report per id, in ``family.ids`` order.
-    """
-    return _alone(family.evaluator,
-                  [mats[n] for n in family.operands], **params)
-
-
 def required_operands(bound_id: str) -> tuple[str, ...]:
     """Operand names ('a', 'b', 'x') that a bound reads, in its family's
     operand order (`Family.reads`)."""
@@ -1281,6 +1277,9 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
                    nu=None, pair=None, h=None, sigma=None):
     """Evaluate a single catalogued bound by ID, by running its family.
 
+    The operands are matrices, giving one report, or (k, m, n) stacks of
+    k trials, giving a list of k reports, member j's equal bit for bit to
+    the call on trial j alone; a grid key is one value or a list of k.
     Operands and parameters the bound does not read (`Family.reads`) are
     ignored: B is replaced by zeros of A's shape and X by zeros on A's
     range, a grid key is left at the evaluator's default and dropped from
@@ -1297,14 +1296,19 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
     missing = [n.upper() for n in need if got[n] is None]
     if missing:
         raise InvalidSpecError(f"{bound_id} requires operand(s) {', '.join(missing)}")
+    shape = np.shape(a)
     mats = {n: got[n] if n in need else np.zeros(
-        np.shape(a)[:1] * 2 if n == "x" else np.shape(a)) for n in fam.operands}
+        shape[:-1] + shape[-2:-1] if n == "x" else shape) for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
     params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
-    rep, = _alone(fam.evaluator, [mats[n] for n in fam.operands],
+    reps = _alone(fam.evaluator, [mats[n] for n in fam.operands],
                   fam.ids.index(bound_id), **params)
-    return replace(rep, params={k: v for k, v in rep.params.items()
-                                if k in reads or k not in fam.grids})
+
+    def own(rep):
+        return replace(rep, params={k: v for k, v in rep.params.items()
+                                    if k in reads or k not in fam.grids})
+
+    return [own(r) for r in reps] if isinstance(reps, list) else own(reps)
 
 
 def compatible_signatures(bound_a: str, bound_b: str) -> None:

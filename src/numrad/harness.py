@@ -260,28 +260,17 @@ def _draw(cfg: CampaignConfig, operands, salt: int, t: int, commuting: bool):
     return dim, seed, mats
 
 
-def _trials(cfg, family, salt: str, commuting: bool, trials) -> list:
-    """Draw the inputs of ``family``'s trials t in ``trials`` and stage its
-    evaluation on them, one stack per dimension.
-
-    Trial t's inputs come from `_draw` with salt crc32(``salt``), and each
-    of the family's grids is cycled by t.  Returns one (draws, radius
-    inputs, finish) per dimension, the last two from
-    `catalog.stage_family` on the stacked draws, which are (t, dim, seed,
-    operand name -> matrix) in trial order.
-    """
-    salt_int = zlib.crc32(salt.encode())
+def _by_dim(cfg, operands, salt: int, commuting: bool, trials) -> list:
+    """The `_draw`s of trials t in ``trials``, one stack per dimension:
+    (draws, operand name -> (k, n, n) stack of their matrices) per
+    dimension, the draws (t, dim, seed, operand name -> matrix) in trial
+    order."""
     groups = {}
     for t in trials:
-        dim, seed, mats = _draw(cfg, family.operands, salt_int, t, commuting)
+        dim, seed, mats = _draw(cfg, operands, salt, t, commuting)
         groups.setdefault(dim, []).append((t, dim, seed, mats))
-    out = []
-    for draws in groups.values():
-        mats = {n: np.stack([d[3][n] for d in draws]) for n in family.operands}
-        params = {key: [grid[d[0] % len(grid)] for d in draws]
-                  for key, grid in family.grids.items()}
-        out.append((draws, *stage_family(family, mats, **params)))
-    return out
+    return [(draws, {n: np.stack([d[3][n] for d in draws]) for n in operands})
+            for draws in groups.values()]
 
 
 def _fmt(v) -> str:
@@ -379,7 +368,7 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     (`catalog.stage_family`), and every radius a block reads at one
     dimension comes from one stacked `numerical_radius` call (a campaign
     of up to 256 trials is one block).  Rows come out in trial order, and
-    each equals its trial evaluated alone (`catalog.evaluate_family`) bit
+    each equals its trial evaluated alone (`catalog.evaluate_bound`) bit
     for bit.
 
     ``with_info`` appends verdict-free rows probing each commuting-X
@@ -408,16 +397,19 @@ def run_campaign(cfg: CampaignConfig, with_info: bool = False) -> CampaignReport
     failures = [[] for _ in runs]
     for first in range(0, cfg.trials, _STAGED_TRIALS):
         block = range(first, min(first + _STAGED_TRIALS, cfg.trials))
-        staged = [(i, group) for i, (family, _, _, salt, commuting) in enumerate(runs)
-                  for group in _trials(cfg, family, salt, commuting, block)]
-        values = iter(radius_values([m for _, group in staged for m in group[1]]))
-        done = [{} for _ in runs]  # trial -> (draw, reports), per run
-        for i, (draws, radius_inputs, finish) in staged:
-            reports = finish([next(values) for _ in radius_inputs])
-            done[i].update((d[0], (d, r)) for d, r in zip(draws, reports))
+        staged = []  # (run, its draws of one dimension, radius inputs, finish)
+        for i, (family, _, _, salt, commuting) in enumerate(runs):
+            for draws, mats in _by_dim(cfg, family.operands, zlib.crc32(salt.encode()),
+                                       commuting, block):
+                params = {key: [grid[d[0] % len(grid)] for d in draws]
+                          for key, grid in family.grids.items()}
+                staged.append((i, draws, *stage_family(family, mats, **params)))
+        values = iter(radius_values([m for *_, inputs, _ in staged for m in inputs]))
+        done = [[] for _ in runs]  # (draw, reports), per run
+        for i, draws, radius_inputs, finish in staged:
+            done[i] += zip(draws, finish([next(values) for _ in radius_inputs]))
         for i, (family, wanted, info, _, _) in enumerate(runs):
-            for t in block:
-                (_, dim, seed, inputs), reports = done[i][t]
+            for (t, dim, seed, inputs), reports in sorted(done[i], key=lambda dr: dr[0][0]):
                 for bid, rep in zip(family.ids, reports):
                     if bid not in wanted:
                         continue
@@ -556,7 +548,9 @@ def sharpness_compare(bound_a: str, bound_b: str,
     Both bounds must consume the same operands.  Trial t shares one input
     tuple between them, drawn by `_draw` (the campaigns' sampler) with
     salt crc32("sharpness:<bound_a>:<bound_b>"); X is the commuting-X draw
-    when either bound's family needs it, as B18-B21 do.  Each bound is
+    when either bound's family needs it, as B18-B21 do.  The trials of
+    one dimension go through one stacked `evaluate_bound` call per bound
+    (`_by_dim`, as campaigns group them).  Each bound is
     evaluated at its default parameters and wins are counted on the right
     sides; gap = rhs_b - rhs_a, so positive mean gap means bound_a is the
     tighter one.  Pass ``inputs`` (a tuple of matrices matching the
@@ -569,34 +563,26 @@ def sharpness_compare(bound_a: str, bound_b: str,
             raise InvalidSpecError(
                 f"{bound_a} takes {len(operands)} input(s) "
                 f"({', '.join(operands)}), got {len(inputs)}")
-        draws = [dict(zip(operands, inputs))]
+        mats = dict(zip(operands, inputs))
+        reports = [(evaluate_bound(bound_a, **mats), evaluate_bound(bound_b, **mats))]
     else:
         cfg = cfg or CampaignConfig()
         salt = zlib.crc32(f"sharpness:{bound_a}:{bound_b}".encode())
         commuting = (family_of(bound_a).commuting_x
                      or family_of(bound_b).commuting_x)
-        draws = [_draw(cfg, operands, salt, t, commuting)[2]
-                 for t in range(cfg.trials)]
+        reports = [None] * cfg.trials
+        for draws, mats in _by_dim(cfg, operands, salt, commuting, range(cfg.trials)):
+            for d, pair in zip(draws, zip(evaluate_bound(bound_a, **mats),
+                                          evaluate_bound(bound_b, **mats))):
+                reports[d[0]] = pair
 
-    skipped = wins_a = wins_b = ties = 0
-    gaps = []
-    pairs = []
-    for mats in draws:
-        ra = evaluate_bound(bound_a, **mats)
-        rb = evaluate_bound(bound_b, **mats)
-        if not (ra.hypothesis_ok and rb.hypothesis_ok):
-            skipped += 1
-            continue
-        gap = rb.rhs - ra.rhs
-        gaps.append(gap)
-        pairs.append((float(ra.rhs), float(rb.rhs)))
-        tie_tol = 1e-12 * (1.0 + abs(rb.rhs))
-        if gap > tie_tol:
-            wins_a += 1
-        elif gap < -tie_tol:
-            wins_b += 1
-        else:
-            ties += 1
+    pairs = tuple((ra.rhs, rb.rhs) for ra, rb in reports
+                  if ra.hypothesis_ok and rb.hypothesis_ok)
+    gaps = [b - a for a, b in pairs]
+    # a gap within 1e-12 (1 + |rhs_b|) of zero is a tie
+    tols = [1e-12 * (1.0 + abs(b)) for _, b in pairs]
+    wins_a = sum(g > tol for g, tol in zip(gaps, tols))
+    wins_b = sum(g < -tol for g, tol in zip(gaps, tols))
     mean_gap = float(sum(gaps) / len(gaps)) if gaps else float("nan")
-    return SharpnessReport(bound_a, bound_b, len(draws), skipped,
-                           wins_a, wins_b, ties, mean_gap, tuple(pairs))
+    return SharpnessReport(bound_a, bound_b, len(reports), len(reports) - len(pairs),
+                           wins_a, wins_b, len(pairs) - wins_a - wins_b, mean_gap, pairs)

@@ -21,6 +21,7 @@ one function, exponent, mean or weight per member when given as a list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     HypothesisViolatedError,
     InvalidSpecError,
+    NonFiniteError,
     NotIsometryError,
     NotPositiveDefiniteError,
 )
@@ -377,14 +379,21 @@ def _pd_means(ea, eb, b, kinds, nu):
 
 
 def kantorovich(m: float, big_m: float) -> float:
-    """Kantorovich constant (M + m)^2 / (4 m M) for 0 < m <= M."""
+    """Kantorovich constant (M + m)^2 / (4 m M) for 0 < m <= M; where
+    (M + m)^2 or 4 m M leaves the float range, NonFiniteError."""
     m = float(m)
     big_m = float(big_m)
     if not (0.0 < m <= big_m):
         raise InvalidSpecError(
             f"need 0 < m <= M, got m={m:g}, M={big_m:g}"
         )
-    return (big_m + m) ** 2 / (4.0 * m * big_m)
+    try:
+        k = (big_m + m) ** 2 / (4.0 * m * big_m)
+        if math.isfinite(k):
+            return k
+    except (OverflowError, ZeroDivisionError):  # ** overflows and / by 0 raise
+        pass
+    raise NonFiniteError(f"the Kantorovich constant of m={m:g}, M={big_m:g} leaves the float range")
 
 
 @dataclass(frozen=True)

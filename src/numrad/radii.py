@@ -268,9 +268,10 @@ def _certify(a: np.ndarray, top: np.ndarray) -> list:
                 f[j], theta[j], x[j] = rf[i], rt[i], rx[i]
                 evals[j] += more[i]
         todo = restart
-    return [RadiusResult(float(np.ldexp(f[j], e[j])), theta[j] % np.pi, x[j],
-                         evals[j], float(np.ldexp(gamma[j], e[j])))
-            for j in range(k)]
+    with np.errstate(over="ignore"):  # a radius above the largest float is inf
+        return [RadiusResult(float(np.ldexp(f[j], e[j])), theta[j] % np.pi, x[j],
+                             evals[j], float(np.ldexp(gamma[j], e[j])))
+                for j in range(k)]
 
 
 def _radius_stack(a) -> tuple[np.ndarray, bool]:

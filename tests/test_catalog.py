@@ -41,7 +41,6 @@ from numrad.catalog import (
     check_symmetrized,
     compatible_signatures,
     evaluate_bound,
-    evaluate_family,
     family_of,
     radius_values,
     required_operands,
@@ -754,6 +753,53 @@ def test_evaluate_bound_matches_family_runners():
             assert direct.lhs.hex() == family.lhs.hex(), bid
             assert direct.rhs.hex() == family.rhs.hex(), bid
 
+    # on a stack of k = 4 trials (member 2 all zeros, member 3's X
+    # commuting with |A*|) with one grid value per member, member j's
+    # report is the 2-D call on trial j, bit for bit
+    k = 4
+    mats = {n: np.stack([_rand(rng, 3) for _ in range(k)]) for n in "abx"}
+    for m in mats.values():
+        m[2] = 0.0
+    mats["x"][3] = _commuting_x(rng, mats["a"][3])
+    h_of = {"mean_h": H_DEC_GRID, "mean_h_weighted": H_DEC_GRID, "alpha": H_ALPHA_GRID}
+    for bid in ALL_BOUND_IDS:
+        grids = {"p": P_GRID, "nu": NU_GRID, "pair": PAIR_GRID, "sigma": SIGMA_GRID,
+                 "h": h_of.get(family_of(bid).name, H_INC_GRID)}
+        per = {key: [v[(j + 1) % len(v)] for j in range(k)] for key, v in grids.items()}
+        stacked = evaluate_bound(bid, **mats, **per)
+        assert isinstance(stacked, list) and len(stacked) == k, bid
+        for j, rep in enumerate(stacked):
+            alone = evaluate_bound(bid, **{n: m[j] for n, m in mats.items()},
+                                   **{key: v[j] for key, v in per.items()})
+            assert repr(rep) == repr(alone), (bid, j)
+        assert stacked[2].status() in ("pass", "skip"), bid
+
+
+def test_check_functions_run_a_stack_member_by_member():
+    # every check_* named in the catalog takes a (k, m, n) stack and
+    # returns one result per member, each its member's 2-D call; a lemma
+    # rejects a stack rather than reading one member of it
+    rng = np.random.default_rng(113)
+    k = 3
+    mats = {n: np.stack([_rand(rng, 2) for _ in range(k)]) for n in "abx"}
+    names = [n for n in catalog.__all__ if n.startswith("check_") and n != "check_lemma"]
+    assert len(names) == 9
+    for name in names:
+        fn = getattr(catalog, name)
+        ops = [mats[p] for p in inspect.signature(fn).parameters if p in mats]
+        got = fn(*ops)
+        assert isinstance(got, list) and len(got) == k, name
+        for j in range(k):
+            assert repr(got[j]) == repr(fn(*(m[j] for m in ops))), (name, j)
+    for lid, lem in LEMMAS.items():
+        with pytest.raises(DimensionMismatchError):
+            check_lemma(lid, **{kw: mats["a"] for kw in lem.flags.values()})
+    # the members of A, B and X must be as many
+    with pytest.raises(DimensionMismatchError, match="^B has 2 members, A has 3$"):
+        check_block(mats["a"], mats["b"][:2], mats["x"])
+    with pytest.raises(DimensionMismatchError):
+        evaluate_bound("B05", a=mats["a"], b=mats["b"], x=mats["x"], p=[1.0, 2.0])
+
 
 def test_family_table_is_pinned():
     # family names salt the campaign seeds, family order sets the row
@@ -894,7 +940,7 @@ def test_a_formed_overflow_names_no_operand():
         with pytest.raises(NonFiniteError, match=formed):
             check_classics(big, big, big)
         with pytest.raises(NonFiniteError, match=formed):
-            evaluate_family(family_of("B08"), {"a": big, "b": big, "x": big})
+            check_omega_harmonic(big, big, big)
 
 
 def test_b05_alone_warns_of_no_sibling_overflow():
@@ -938,10 +984,13 @@ def test_operands_fit_the_claims_setting():
     for bid in ("B03", "B04", "B05", "B11", "B12", "B14", "B16a", "B16b", "B17"):
         rep = evaluate_bound(bid, a=wide, b=wide2, x=a2)
         assert rep.status() == "pass", bid
-    # B06-B10 let A and B differ in width: P = B*|X|B is then singular
-    # and the gate skips
+    # B06-B10 take A and B of one shape too
+    tall, tall2 = rng.standard_normal((3, 1)), rng.standard_normal((3, 2))
     for bid in ("B06", "B07", "B08", "B09", "B10"):
-        assert evaluate_bound(bid, a=a2, b=wide, x=a2).status() == "skip", bid
+        with pytest.raises(DimensionMismatchError):
+            evaluate_bound(bid, a=a2, b=wide, x=a2)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_bound(bid, a=tall, b=tall2, x=a3)
     # B01 does not read B, so B's shape does not matter
     assert evaluate_bound("B01", a=a2, b=a3).status() == "pass"
 
@@ -1005,7 +1054,8 @@ def _scaled_reports(name, seed, n, t, s):
     if fam.commuting_x:
         mats["x"] = _poly_in(rng, abs_op(mats["a"].conj().T))
     params = {key: grid[t % len(grid)] for key, grid in fam.grids.items()}
-    return evaluate_family(fam, {k: s * m for k, m in mats.items()}, **params)
+    return [evaluate_bound(bid, **{k: s * m for k, m in mats.items()}, **params)
+            for bid in fam.ids]
 
 
 @pytest.mark.parametrize("name", list(_FAMILY_NAMED) + list(LEMMA_IDS))

@@ -320,10 +320,10 @@ def test_check_operands_of_different_sizes_exit_precondition(tmp_path):
     # B01 reads A alone
     assert main(["check", "--bound", "B01", "--A", a, "--B", b]) == 0
     # A and B of one shape 2 x 3 map one space into another: w(B*A) reads
-    # them; B06's P = B*|X|B is singular when B alone is 2 x 3, so it skips
+    # them; B06, like every bound, rejects A and B of different shapes
     wide = _write(tmp_path, "wide.json", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
     assert main(["check", "--bound", "B03", "--A", wide, "--B", wide]) == 0
-    assert main(["check", "--bound", "B06", "--A", a, "--B", wide, "--X", a]) == 4
+    assert main(["check", "--bound", "B06", "--A", a, "--B", wide, "--X", a]) == 3
 
 
 def test_check_a_sibling_overflow_does_not_fail_the_bound(tmp_path):
@@ -365,7 +365,50 @@ def test_check_l04_radius_overflow_is_a_precondition_error(capsys, tmp_path):
     assert main(["check", "--bound", "L04", "--A", a]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == ["error: the numerical radius of A overflows to inf"]
+    assert err.splitlines() == [
+        "error: L04: a side overflows to non-finite (lhs = nan, rhs = inf)"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_a_radius_above_the_float_range_is_a_precondition_error(capsys, tmp_path):
+    # w(A) = 3.4e308 overflows to inf: B01's report rejects the side that
+    # reads it, and `eval` prints inf, neither with a warning
+    a = _write(tmp_path, "a.json", np.full((2, 2), 1.7e308))
+    assert main(["check", "--bound", "B01", "--A", a]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a matrix formed from the operands overflowed to non-finite entries"]
+    assert main(["eval", "--q", "omega", "--in", a]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{a}:omega = inf\n" and err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e160, 1e-315])
+def test_eval_kantorovich_out_of_the_float_range_is_a_precondition_error(
+        capsys, tmp_path, value):
+    # (M + m)^2 overflows at 1e160; 4 m M underflows to 0 at 1e-315
+    a = _write(tmp_path, "a.json", [[value]])
+    assert main(["eval", "--q", "kantorovich", "--in", a]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: the Kantorovich constant of m={value:g}, M={value:g} "
+        "leaves the float range"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound", ["B06", "B08"])
+def test_check_kantorovich_overflow_is_a_precondition_error(capsys, tmp_path, bound):
+    # P = Q = [1e180] at A = B = X = [1e60]: their Kantorovich constant
+    # overflows, a one-line error and exit 3, not a traceback and exit 1
+    a = _write(tmp_path, "a.json", [[1e60]])
+    assert main(["check", "--bound", bound, "--A", a, "--B", a, "--X", a]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a matrix formed from the operands overflowed to non-finite entries"]
 
 
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):

@@ -15,8 +15,8 @@ from numrad.catalog import (
     FAMILIES,
     check_block,
     evaluate_bound,
-    evaluate_family,
     family_of,
+    required_operands,
 )
 from numrad import harness
 from numrad.harness import (
@@ -294,7 +294,8 @@ def test_campaign_rows_equal_single_trial_evaluation(block, trials, dims, monkey
             dim, seed, mats = _draw(cfg, fam.operands, zlib.crc32(salt.encode()),
                                     t, commuting)
             params = {k: grid[t % len(grid)] for k, grid in fam.grids.items()}
-            for bid, alone in zip(fam.ids, evaluate_family(fam, mats, **params)):
+            for bid in fam.ids:
+                alone = evaluate_bound(bid, **mats, **params)
                 row = next(out)
                 assert (row["bound_id"], row["trial"], row["dim"],
                         row["seed"]) == (bid, t, dim, seed)
@@ -471,6 +472,35 @@ def test_campaigns_and_sharpness_share_one_sampler():
         mats = _draw(cfg, ("a", "b", "x"), salt, t, commuting=False)[2]
         assert rep.pairs[t] == (evaluate_bound("B14", **mats).rhs,
                                 evaluate_bound("B05", **mats).rhs)
+
+
+@pytest.mark.parametrize("bound_a, bound_b", [
+    ("B08", "B05"), ("B06", "B08"), ("B18", "B20"), ("B03", "B04"), ("B13", "B15")])
+def test_sharpness_equals_a_per_trial_loop(bound_a, bound_b):
+    # a comparison evaluates each bound once per dimension on the stacked
+    # draws; its pairs, counts and mean gap are those of evaluating every
+    # trial alone, bit for bit, in trial order
+    cfg = CampaignConfig(trials=14, dims=(1, 2, 3), seed=9)
+    rep = sharpness_compare(bound_a, bound_b, cfg)
+    salt = zlib.crc32(f"sharpness:{bound_a}:{bound_b}".encode())
+    commuting = family_of(bound_a).commuting_x or family_of(bound_b).commuting_x
+    pairs, skipped = [], 0
+    for t in range(cfg.trials):
+        mats = _draw(cfg, required_operands(bound_a), salt, t, commuting)[2]
+        ra, rb = evaluate_bound(bound_a, **mats), evaluate_bound(bound_b, **mats)
+        if ra.hypothesis_ok and rb.hypothesis_ok:
+            pairs.append((ra.rhs, rb.rhs))
+        else:
+            skipped += 1
+    assert (rep.trials, rep.skipped) == (cfg.trials, skipped)
+    assert [(a.hex(), b.hex()) for a, b in rep.pairs] == \
+        [(a.hex(), b.hex()) for a, b in pairs]
+    gaps = [b - a for a, b in pairs]
+    assert rep.mean_gap.hex() == (sum(gaps) / len(gaps)).hex()
+    tol = [1e-12 * (1.0 + abs(b)) for _, b in pairs]
+    assert (rep.wins_a, rep.wins_b, rep.ties) == (
+        sum(g > e for g, e in zip(gaps, tol)), sum(g < -e for g, e in zip(gaps, tol)),
+        sum(abs(g) <= e for g, e in zip(gaps, tol)))
 
 
 def test_sharpness_rejects_wrong_input_count():

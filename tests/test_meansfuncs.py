@@ -6,6 +6,7 @@ from numrad.errors import (
     DomainViolationError,
     HypothesisViolatedError,
     InvalidSpecError,
+    NonFiniteError,
     NotIsometryError,
     NotPositiveDefiniteError,
 )
@@ -250,6 +251,15 @@ def test_kantorovich_rejects_bad_order():
         kantorovich(0.0, 1.0)
     with pytest.raises(InvalidSpecError):
         kantorovich(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("m, big_m", [
+    (1e160, 1e160), (1.0, 1e160), (1e-315, 1e-315), (1e-300, 1e150), (1e308, 1.7e308)],
+    ids=["square-overflows", "mixed-overflows", "product-underflows",
+         "quotient-overflows", "sum-overflows"])
+def test_kantorovich_outside_the_float_range_raises(m, big_m):
+    with pytest.raises(NonFiniteError, match="leaves the float range"):
+        kantorovich(m, big_m)
 
 
 def test_spectrum_bounds_family():
