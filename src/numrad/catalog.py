@@ -24,6 +24,7 @@ records those violations honestly.  Claim text lives in each docstring.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -43,6 +44,7 @@ from .matrixcore import (
     _each,
     _pair,
     _pick,
+    _require_finite,
     _weights,
     apply_fn,
     as_cmatrix,
@@ -271,9 +273,10 @@ def _by_id(k, member):
 
 # ---------------------------------------------------------------------------
 # Staged evaluation.  Each family's evaluator is a generator over a stack
-# of trials: it takes each operand as a (k, m, n) stack and each grid key
-# as a list of k values (or one value for all), checks every member's
-# parameters, yields once the stacks whose numerical radii it reads,
+# of trials: it takes each operand as a (k, m, n) stack, checked where it
+# entered (`_operands`, called by `_alone` and `stage_family`), and each
+# grid key as a list of k values (or one value for all), checks every
+# member's parameters, yields once the stacks whose numerical radii it reads,
 # receives their values (one list per stack) and returns its reports, one
 # list of k per id in the order of the family's ids (or a function that
 # builds the list when read).  Each step of a formula is one stacked call
@@ -291,7 +294,9 @@ def _operands(*ms) -> list:
     """Operand stacks A, B, X (as many as given) in the claims' setting:
     A and B map a space H into K, one shape m x n, and X acts on K,
     m x m, each with one member per trial; otherwise
-    DimensionMismatchError."""
+    DimensionMismatchError.  The one operand check of the bounds: the
+    entries to the staged evaluators, `_alone` and `stage_family`, make
+    it, and the evaluators take its stacks as they are."""
     ms = [_as_stack(m, name)[0] for m, name in zip(ms, "ABX")]
     k, rows, width = ms[0].shape
     for m, name in zip(ms[1:], "BX"):
@@ -348,6 +353,11 @@ def _stage(gen):
     return inputs, finish
 
 
+# the checks that reject a non-finite matrix: the finiteness rule, and
+# the radius's check that no entry's modulus overflows
+_MATRIX_CHECKS = (_require_finite.__code__, numerical_radius.__code__)
+
+
 def _alone(evaluator, operands, only=None, **params):
     """A staged evaluator's reports on its matrices ``operands`` (named A,
     B, X in order), each a matrix or a (k, m, n) stack of trials, and the
@@ -355,16 +365,21 @@ def _alone(evaluator, operands, only=None, **params):
     tuple of reports in id order, or with ``only`` the report at that id
     index; of matrices, a stack of one, the one member's.
 
-    The operands are checked here, so a NonFiniteError met later comes
-    from a matrix that overflowed while a formula formed it, and says so
-    rather than naming the slot of the function that met it."""
+    The operands are checked here (`_operands`), before any parameter,
+    so a matrix check (`_MATRIX_CHECKS`) that fails later has met a
+    matrix that overflowed while a formula formed it, and the error says
+    so rather than naming the slot of the function that met it.  Any
+    other NonFiniteError, a report side or a Kantorovich constant out of
+    the float range, keeps its own message."""
     # C order, as campaigns stack their draws: the layout picks the matmul
     # kernel, and kernels differ in the last bit
-    stacks = [np.ascontiguousarray(_as_stack(m, name)[0]) for m, name in zip(operands, "ABX")]
+    stacks = [np.ascontiguousarray(m) for m in _operands(*operands)]
     try:
         inputs, finish = _stage(evaluator(*stacks, **params))
         reports = finish(radius_values(inputs), only)
     except NonFiniteError as exc:
+        if inspect.trace(0)[-1].frame.f_code not in _MATRIX_CHECKS:
+            raise
         raise NonFiniteError(
             "a matrix formed from the operands overflowed to non-finite entries") from exc
     return reports[0] if np.ndim(operands[0]) == 2 else reports
@@ -409,7 +424,6 @@ def _classics(a, b, x, p=1.0):
     warning, as every formula behind the staging boundary is (`_quiet`),
     and each raises NonFiniteError in its own report."""
     p = [_need_power(v) for v in _each(p, len(a))]
-    a, b, x = _operands(a, b, x)
     ah, bh = _adj(a), _adj(b)
     ins = a, bh @ a, a @ bh, _target(a, b, x)
     ws = yield tuple(_finite_square(m) for m in ins)
@@ -521,7 +535,6 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     k = len(a)
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
-    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": 0.5}
               for pr, f, sg in zip(pair, hf, sigma)]
@@ -558,7 +571,6 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     nu = [_need_weight(v) for v in _each(nu, k)]
-    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     pw, qw = _pair(psd_pow, p_mat, q_mat,
                    [1.0 / (1.0 - v) for v in nu] + [1.0 / v for v in nu])
@@ -595,7 +607,6 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     pair = _each(pair, k)
     hf = [_need_kind(v, "increasing") for v in _each(h, k)]
     p = [_need_power(v) for v in _each(p, k)]
-    a, b, x = _operands(a, b, x)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = [{"pair": str(pr), "h": f.name, "p": e} for pr, f, e in zip(pair, hf, p)]
     ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
@@ -634,7 +645,6 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
     k = len(a)
     hf = [_need_kind(v, "increasing") for v in _each(h, k)]
     p = [_need_power(v) for v in _each(p, k)]
-    a, b = _operands(a, b)
     w, w_rev = yield _adj(a) @ b, b @ _adj(a)
     na, nb = _pair(op_norm, a, b)
     prod = (na * nb).tolist()
@@ -705,7 +715,6 @@ def check_block(a, b, x) -> BoundReport:
 
 def _block(a, b, x):
     """Staged B14: w(A*XB), w(XBA*) and w(BA*X)."""
-    a, b, x = _operands(a, b, x)
     w, w1, w2 = yield _target(a, b, x), x @ b @ _adj(a), b @ _adj(a) @ x
     t1 = (0.25 * op_norm(a @ _adj(a) @ x + x @ b @ _adj(b))).tolist()
     return [_report("B14", v, t + 0.5 * max(u1, u2), {"omega_xba": u1, "omega_bax": u2})
@@ -728,7 +737,6 @@ def check_symmetrized(a, b, x):
 
 def _symmetrized(a, b, x):
     """Staged B16a, B16b and B17: w(A*XB + B*XA) and w(X)."""
-    a, b, x = _operands(a, b, x)
     w, wx = yield _target(a, b, x) + _target(b, a, x), x
     na, nb, cross = _norms(a, b, a @ _adj(b))
 
@@ -780,7 +788,6 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     nu = [_need_weight(v) for v in _each(nu, k)]
     pair = _each(pair, k)
     fs, gs = _pair_fns(pair, k)
-    a, b, x = _operands(a, b, x)
     e_a, e_as, _ = moduli(a)
     dev, comm_ok = (v.tolist() for v in _commutation(e_as, a, x))
     r = spectral_radius(x).tolist()
@@ -829,6 +836,15 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
 # Lemma checks L01-L09
 
 
+def _require(owner: str, needed: dict, given: dict) -> None:
+    """InvalidSpecError naming the flag of each operand that ``owner``
+    needs and ``given`` lacks; ``needed`` maps each flag to its keyword
+    in ``given``."""
+    missing = [flag for flag, kw in needed.items() if given.get(kw) is None]
+    if missing:
+        raise InvalidSpecError(f"{owner} requires operand(s) {', '.join(missing)}")
+
+
 def _unit_vec(v, n, name):
     """``v`` as a flat unit vector of length n; an n x 1 or 1 x n matrix
     is accepted, any other shape raises InvalidSpecError."""
@@ -853,10 +869,6 @@ def _pair_norms(f, g, mods, x, y) -> float:
 def _l01(a, x, y, pair="sqrt") -> BoundReport:
     """|<Ax, y>| <= ||f(|A|) x|| ||g(|A*|) y|| for any pair f g = t."""
     f, g = get_pair(pair)
-    a = as_cmatrix(a, "A")
-    n = a.shape[0]
-    x = _unit_vec(x, n, "x")
-    y = _unit_vec(y, n, "y")
     lhs = abs(complex(y.conj() @ (a @ x)))
     return _report("L01", lhs, _pair_norms(f, g, moduli(a), x, y),
                    {"pair": str(pair)})
@@ -871,8 +883,6 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     when omitted); h operator monotone decreasing; sigma, tau any means.
     """
     hf = _need_kind(h, "decreasing")
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
     ea, eb, (sb,) = _pd_gate(a[None], b[None], "operands")
     if isinstance(sb, str):
@@ -903,7 +913,6 @@ def _l03(a, h="inv") -> BoundReport:
     1/||A||, so this holds with equality up to roundoff.
     """
     hf = _need_kind(h, "decreasing")
-    a = as_cmatrix(a, "A")
     ea = herm_eigen(a)
     ok, me = pd_test(ea)
     if not ok:
@@ -1014,7 +1023,6 @@ def _l04(a) -> BoundReport:
     limit.  ``params["evaluations"]`` counts the sigma_max evaluations.
     A radius above the largest float gives a side that `_report` rejects.
     """
-    a = as_cmatrix(a, "A")
     r = numerical_radius(a)
     sup, sup_upper, evals = _sup_form(a)
     meet = sup <= r.upper and r.value <= sup_upper
@@ -1025,8 +1033,6 @@ def _l04(a) -> BoundReport:
 
 def _l05(a, b) -> BoundReport:
     """w(diag(A, B)) = max(w(A), w(B))."""
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
     direct = numerical_radius(
         np.block([
             [a, np.zeros((a.shape[0], b.shape[1]))],
@@ -1043,8 +1049,6 @@ def _l06(a1, b1, a2, b2) -> BoundReport:
         r(A1B1 + A2B2) <= (w(B1A1) + w(B2A2))/2
           + sqrt((w(B1A1) - w(B2A2))^2 + 4 ||B1A2|| ||B2A1||) / 2
     """
-    a1, b1 = as_cmatrix(a1, "A1"), as_cmatrix(b1, "B1")
-    a2, b2 = as_cmatrix(a2, "A2"), as_cmatrix(b2, "B2")
     w11, w22 = radius_values([b1 @ a1, b2 @ a2])
     disc = math.sqrt((w11 - w22) ** 2
                      + 4.0 * op_norm(b1 @ a2) * op_norm(b2 @ a1))
@@ -1059,9 +1063,6 @@ def _l07(a1, b1, a2, b2, x, y) -> BoundReport:
         [[A1*A1 X + X A2*A2,  A1*B1 Y + X A2*B2],
          [B1*A1 X + Y B2*A2,  B1*B1 Y + Y B2*B2]].
     """
-    a1, b1 = as_cmatrix(a1, "A1"), as_cmatrix(b1, "B1")
-    a2, b2 = as_cmatrix(a2, "A2"), as_cmatrix(b2, "B2")
-    x, y = as_cmatrix(x, "X"), as_cmatrix(y, "Y")
     blk = np.block([
         [a1.conj().T @ a1 @ x + x @ a2.conj().T @ a2,
          a1.conj().T @ b1 @ y + x @ a2.conj().T @ b2],
@@ -1075,11 +1076,6 @@ def _l07(a1, b1, a2, b2, x, y) -> BoundReport:
 def _l08(a, b, x, y, pair="sqrt") -> BoundReport:
     """|<ABx, y>| <= r(B) ||f(|A|) x|| ||g(|A*|) y|| when |A|B = B*|A|."""
     f, g = get_pair(pair)
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    n = a.shape[0]
-    x = _unit_vec(x, n, "x")
-    y = _unit_vec(y, n, "y")
     mods = moduli(a)
     dev, ok = _commutation(mods[0], a, b)
     params = {"pair": str(pair), "commutation_defect": dev}
@@ -1095,8 +1091,6 @@ def _l09(p, q, h="pow:1", nu=0.5) -> BoundReport:
     hf = _need_kind(h, "increasing")
     if not 0.0 <= nu <= 1.0:
         raise InvalidSpecError(f"weight must lie in [0, 1], got {nu}")
-    p = as_cmatrix(p, "P")
-    q = as_cmatrix(q, "Q")
     lhs = op_norm(eval_fn(hf, _sym((1.0 - nu) * p + nu * q)))
     rhs = op_norm((1.0 - nu) * eval_fn(hf, _sym(p))
                   + nu * eval_fn(hf, _sym(q)))
@@ -1109,8 +1103,9 @@ class Lemma:
     ``numrad check`` both read.
 
     ``flags`` maps each operand's command-line flag to the handler
-    keyword that receives it; a flag in ``optional`` may be omitted.
-    ``params`` are the handler's keyword parameters.
+    keyword that receives it; a flag in ``optional`` may be omitted, and
+    a flag in ``vectors`` names a unit vector on A's space rather than a
+    matrix.  ``params`` are the handler's keyword parameters.
     """
 
     id: str
@@ -1118,10 +1113,11 @@ class Lemma:
     flags: dict
     params: tuple = ()
     optional: tuple = ()
+    vectors: tuple = ()
 
 
 LEMMAS = {lem.id: lem for lem in (
-    Lemma("L01", _l01, {"A": "a", "X": "x", "Y": "y"}, ("pair",)),
+    Lemma("L01", _l01, {"A": "a", "X": "x", "Y": "y"}, ("pair",), vectors=("X", "Y")),
     Lemma("L02", _l02, {"A": "a", "B": "b", "V": "v"},
           ("h", "sigma", "tau", "nu"), optional=("V",)),
     Lemma("L03", _l03, {"A": "a"}, ("h",)),
@@ -1130,7 +1126,8 @@ LEMMAS = {lem.id: lem for lem in (
     Lemma("L06", _l06, {"A": "a1", "B": "b1", "A2": "a2", "B2": "b2"}),
     Lemma("L07", _l07, {"A": "a1", "B": "b1", "A2": "a2", "B2": "b2",
                         "X": "x", "Y": "y"}),
-    Lemma("L08", _l08, {"A": "a", "B": "b", "X": "x", "Y": "y"}, ("pair",)),
+    Lemma("L08", _l08, {"A": "a", "B": "b", "X": "x", "Y": "y"}, ("pair",),
+          vectors=("X", "Y")),
     Lemma("L09", _l09, {"A": "p", "B": "q"}, ("h", "nu")),
 )}
 
@@ -1140,8 +1137,11 @@ LEMMA_IDS = tuple(LEMMAS)
 def check_lemma(lemma_id: str, **inputs):
     """Evaluate one auxiliary lemma by ID; see each handler's docstring.
 
-    Operands and parameters go in by handler keyword; a missing operand
-    raises InvalidSpecError naming its flag.
+    Operands and parameters go in by handler keyword.  The operands are
+    checked here, before any parameter, and each error names the operand's
+    flag: a missing one raises InvalidSpecError, a matrix goes through
+    `as_cmatrix` and a vector (``Lemma.vectors``) through `_unit_vec`, so
+    a handler takes 2-D complex matrices and flat unit vectors.
     """
     try:
         lem = LEMMAS[lemma_id]
@@ -1149,12 +1149,12 @@ def check_lemma(lemma_id: str, **inputs):
         raise UnknownBoundIdError(
             f"unknown lemma {lemma_id!r}; known: {', '.join(LEMMA_IDS)}"
         ) from None
-    missing = [flag for flag, kw in lem.flags.items()
-               if flag not in lem.optional and inputs.get(kw) is None]
-    if missing:
-        raise InvalidSpecError(
-            f"{lemma_id} requires operand(s) {', '.join(missing)}"
-        )
+    _require(lemma_id, {flag: kw for flag, kw in lem.flags.items()
+                        if flag not in lem.optional}, inputs)
+    for flag, kw in lem.flags.items():
+        if inputs.get(kw) is not None:
+            inputs[kw] = (_unit_vec(inputs[kw], len(inputs[lem.flags["A"]]), flag)
+                          if flag in lem.vectors else as_cmatrix(inputs[kw], flag))
     return lem.handler(**inputs)
 
 
@@ -1263,7 +1263,7 @@ def stage_family(family: Family, mats: dict, **params):
     per trial, each in ``family.ids`` order.
     """
     return _stage(family.evaluator(
-        *(mats[n] for n in family.operands), **params))
+        *_operands(*(mats[n] for n in family.operands)), **params))
 
 
 def required_operands(bound_id: str) -> tuple[str, ...]:
@@ -1293,9 +1293,7 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
     fam = family_of(bound_id)
     reads, need = fam.reads_of(bound_id), required_operands(bound_id)
     got = {"a": a, "b": b, "x": x}
-    missing = [n.upper() for n in need if got[n] is None]
-    if missing:
-        raise InvalidSpecError(f"{bound_id} requires operand(s) {', '.join(missing)}")
+    _require(bound_id, {n.upper(): n for n in need}, got)
     shape = np.shape(a)
     mats = {n: got[n] if n in need else np.zeros(
         shape[:-1] + shape[-2:-1] if n == "x" else shape) for n in fam.operands}

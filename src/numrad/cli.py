@@ -70,19 +70,18 @@ def _report_doc(rep) -> dict:
 
 
 def _json_safe(v):
-    """``v`` with every non-finite float, nested in dicts too, as None."""
+    """``v`` with every non-finite float, nested in dicts and lists too,
+    as None."""
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_safe(x) for x in v]
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _print(doc, as_json: bool):
-    if as_json:
-        print(json.dumps(_json_safe(doc), indent=2, sort_keys=True,
-                         allow_nan=False))
-    else:
-        for k, v in doc.items():
-            print(f"{k} = {v}")
+def _print_json(doc):
+    """Print ``doc`` as strict JSON, a non-finite number as null."""
+    print(json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def cmd_eval(args) -> int:
             )
         out.update(QUANTITIES[q](q, mats, args))
     if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
+        _print_json(out)
     else:
         for k, v in out.items():
             if isinstance(v, float):
@@ -172,7 +171,12 @@ def cmd_check(args) -> int:
             f"unknown identifier {args.bound!r}; "
             f"known: {', '.join(ALL_BOUND_IDS + LEMMA_IDS)}"
         )
-    _print(_report_doc(rep), args.json)
+    doc = _report_doc(rep)
+    if args.json:
+        _print_json(doc)
+    else:
+        for k, v in doc.items():
+            print(f"{k} = {v}")
     tol = () if args.tol is None else (args.tol, args.tol)
     return _EXIT[rep.status(*tol)]
 
@@ -198,8 +202,7 @@ def cmd_campaign(args) -> int:
 def cmd_repro(args) -> int:
     rows = reference_examples()
     if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in rows],
-                         indent=2, sort_keys=True))
+        _print_json([dataclasses.asdict(r) for r in rows])
     else:
         width = max(len(r.label) for r in rows)
         for r in rows:

@@ -34,7 +34,6 @@ from .catalog import (  # the grids are re-exported for callers of this module
     PAIR_GRID,
     RTOL,
     SIGMA_GRID,
-    check_block,
     compatible_signatures,
     evaluate_bound,
     family_of,
@@ -505,7 +504,7 @@ def reference_examples() -> tuple:
 
     a2, b2, x2 = _EX2_A, _EX2_B, _EX2_X
     r3 = evaluate_bound("B05", a=a2, b=b2, x=x2).rhs  # at p = 1
-    block = check_block(a2, b2, x2)  # B14: rhs is the bound, lhs w(A*XB)
+    block = evaluate_bound("B14", a=a2, b=b2, x=x2)  # rhs is the bound, lhs w(A*XB)
     r4, r5 = block.rhs, block.lhs
 
     return (

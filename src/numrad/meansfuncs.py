@@ -22,6 +22,7 @@ one function, exponent, mean or weight per member when given as a list.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -379,16 +380,27 @@ def _pd_means(ea, eb, b, kinds, nu):
 
 
 def kantorovich(m: float, big_m: float) -> float:
-    """Kantorovich constant (M + m)^2 / (4 m M) for 0 < m <= M; where
-    (M + m)^2 or 4 m M leaves the float range, NonFiniteError."""
+    """Kantorovich constant (M + m)^2 / (4 m M) for 0 < m <= M; where the
+    constant leaves the float range, NonFiniteError.
+
+    Where 4 m M is below the least normal float, the constant is computed
+    on m and M scaled by 2^-e, M = 2^e f with 1/2 <= f < 1: it is scale
+    invariant and the scaling is exact, so a subnormal product costs no
+    digits (the scaled 4 m M stays normal unless the constant exceeds
+    1 / (4 least normal) = 1.1e307).  Elsewhere m and M are used as
+    given, so in-range values are unchanged by this rule."""
     m = float(m)
     big_m = float(big_m)
     if not (0.0 < m <= big_m):
         raise InvalidSpecError(
             f"need 0 < m <= M, got m={m:g}, M={big_m:g}"
         )
+    lo, hi = m, big_m
+    if 4.0 * m * big_m < sys.float_info.min:
+        e = math.frexp(big_m)[1]
+        lo, hi = math.ldexp(m, -e), math.ldexp(big_m, -e)
     try:
-        k = (big_m + m) ** 2 / (4.0 * m * big_m)
+        k = (hi + lo) ** 2 / (4.0 * lo * hi)
         if math.isfinite(k):
             return k
     except (OverflowError, ZeroDivisionError):  # ** overflows and / by 0 raise

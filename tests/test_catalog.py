@@ -695,6 +695,25 @@ def test_lemma_dispatch_validation():
     assert check_lemma("L01", a=I2, x=e1[:, None], y=e1[None, :]).satisfied
 
 
+def test_lemma_operand_errors_name_the_flag():
+    # check_lemma checks every operand, and names it by its flag, as
+    # `numrad check` takes it
+    e1, bad = np.array([1.0, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError, match="^A contains"):
+        check_lemma("L06", a1=bad, b1=I2, a2=I2, b2=I2)
+    with pytest.raises(NonFiniteError, match="^A contains"):
+        check_lemma("L09", p=bad, q=I2)
+    with pytest.raises(NonFiniteError, match="^B2 contains"):
+        check_lemma("L07", a1=I2, b1=I2, a2=I2, b2=bad, x=I2, y=I2)
+    with pytest.raises(InvalidSpecError, match="^X must be a unit vector"):
+        check_lemma("L01", a=I2, x=2.0 * e1, y=e1)
+    with pytest.raises(InvalidSpecError, match="^Y must be a vector of length 2"):
+        check_lemma("L08", a=I2, b=I2, x=e1, y=np.ones(3))
+    # an operand is checked before a parameter
+    with pytest.raises(NonFiniteError, match="^A contains"):
+        check_lemma("L03", a=bad, h="pow:2")
+
+
 def test_lemma_table_is_pinned():
     # ids, command-line flag -> handler keyword maps, optional operands
     # and keyword parameters: what check_lemma and numrad check both read
@@ -714,6 +733,10 @@ def test_lemma_table_is_pinned():
         "L08": ({"A": "a", "B": "b", "X": "x", "Y": "y"}, (), ("pair",)),
         "L09": ({"A": "p", "B": "q"}, (), ("h", "nu")),
     }
+    # the flags whose operands are unit vectors on A's space; every other
+    # operand is a matrix
+    assert {lem.id: lem.vectors for lem in LEMMAS.values() if lem.vectors} == {
+        "L01": ("X", "Y"), "L08": ("X", "Y")}
     # every keyword the table names is one its handler takes, and back
     for lem in LEMMAS.values():
         taken = list(inspect.signature(lem.handler).parameters)
@@ -993,6 +1016,19 @@ def test_operands_fit_the_claims_setting():
             evaluate_bound(bid, a=tall, b=tall2, x=a3)
     # B01 does not read B, so B's shape does not matter
     assert evaluate_bound("B01", a=a2, b=a3).status() == "pass"
+
+
+def test_operands_are_checked_before_the_grid_keys():
+    # operands are checked where they enter, before any parameter: shapes
+    # that do not fit beat a power p < 1
+    rng = np.random.default_rng(113)
+    a2, a3 = _rand(rng, 2), _rand(rng, 3)
+    with pytest.raises(DimensionMismatchError, match=r"^B is \(3, 3\), A is \(2, 2\)$"):
+        evaluate_bound("B05", a=a2, b=a3, x=a2, p=0.5)
+    with pytest.raises(DimensionMismatchError, match=r"^X is \(3, 3\), A is \(2, 2\)$"):
+        check_omega_harmonic(a2, a2, a3, p=0.5)
+    with pytest.raises(InvalidSpecError, match="power must be >= 1"):
+        evaluate_bound("B05", a=a2, b=a2, x=a2, p=0.5)
 
 
 @pytest.mark.parametrize("bad", [

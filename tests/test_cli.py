@@ -372,27 +372,45 @@ def test_check_l04_radius_overflow_is_a_precondition_error(capsys, tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_a_radius_above_the_float_range_is_a_precondition_error(capsys, tmp_path):
     # w(A) = 3.4e308 overflows to inf: B01's report rejects the side that
-    # reads it, and `eval` prints inf, neither with a warning
+    # reads it, with its own message, and `eval` prints inf, neither with
+    # a warning
     a = _write(tmp_path, "a.json", np.full((2, 2), 1.7e308))
     assert main(["check", "--bound", "B01", "--A", a]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "error: a matrix formed from the operands overflowed to non-finite entries"]
+        "error: B01: a side overflows to non-finite (lhs = nan, rhs = inf)"]
     assert main(["eval", "--q", "omega", "--in", a]) == 0
     out, err = capsys.readouterr()
     assert out == f"{a}:omega = inf\n" and err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_json_writes_a_non_finite_value_as_null(capsys, tmp_path):
+    # w(A) = 3.4e308 of a 2x2 of 1.7e308 is inf: strict JSON has null
+    a = _write(tmp_path, "a.json", np.full((2, 2), 1.7e308))
+    assert main(["eval", "--q", "omega", "--in", a, "--json"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc[f"{a}:omega"]["value"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [1e160, 1e-315])
 def test_eval_kantorovich_out_of_the_float_range_is_a_precondition_error(
         capsys, tmp_path, value):
-    # (M + m)^2 overflows at 1e160; 4 m M underflows to 0 at 1e-315
+    # (M + m)^2 overflows at 1e160; at 1e-315, 4 m M is subnormal and the
+    # constant is computed on m and M scaled by a power of two: exactly 1
     a = _write(tmp_path, "a.json", [[value]])
-    assert main(["eval", "--q", "kantorovich", "--in", a]) == 3
+    code = main(["eval", "--q", "kantorovich", "--in", a])
     out, err = capsys.readouterr()
-    assert out == ""
+    if value < 1.0:
+        assert (code, out, err) == (0, f"{a}:kantorovich = 1\n", "")
+        return
+    assert (code, out) == (3, "")
     assert err.splitlines() == [
         f"error: the Kantorovich constant of m={value:g}, M={value:g} "
         "leaves the float range"]
@@ -402,13 +420,14 @@ def test_eval_kantorovich_out_of_the_float_range_is_a_precondition_error(
 @pytest.mark.parametrize("bound", ["B06", "B08"])
 def test_check_kantorovich_overflow_is_a_precondition_error(capsys, tmp_path, bound):
     # P = Q = [1e180] at A = B = X = [1e60]: their Kantorovich constant
-    # overflows, a one-line error and exit 3, not a traceback and exit 1
+    # overflows, a one-line error that says so and exit 3, not a
+    # traceback and exit 1
     a = _write(tmp_path, "a.json", [[1e60]])
     assert main(["check", "--bound", bound, "--A", a, "--B", a, "--X", a]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "error: a matrix formed from the operands overflowed to non-finite entries"]
+        "error: the Kantorovich constant of m=1e+180, M=1e+180 leaves the float range"]
 
 
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):

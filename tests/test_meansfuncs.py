@@ -253,10 +253,21 @@ def test_kantorovich_rejects_bad_order():
         kantorovich(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("m, big_m, k", [
+    (1e-315, 1e-315, 1.0), (1e-161, 7e-161, 64.0 / 28.0), (2.0 ** -1025, 1.0, 2.0 ** 1023)],
+    ids=["product-underflows", "product-subnormal", "near-overflow"])
+def test_kantorovich_where_the_product_is_subnormal(m, big_m, k):
+    # 4 m M below the least normal float: computed on m and M scaled by
+    # a power of two, so no digit is lost to the subnormal product
+    assert kantorovich(m, big_m) == pytest.approx(k, rel=4 * np.finfo(float).eps)
+    if m == big_m:
+        assert kantorovich(m, big_m) == 1.0
+
+
 @pytest.mark.parametrize("m, big_m", [
-    (1e160, 1e160), (1.0, 1e160), (1e-315, 1e-315), (1e-300, 1e150), (1e308, 1.7e308)],
-    ids=["square-overflows", "mixed-overflows", "product-underflows",
-         "quotient-overflows", "sum-overflows"])
+    (1e160, 1e160), (1.0, 1e160), (1e-300, 1e150), (1e308, 1.7e308), (1e-320, 1e-10)],
+    ids=["square-overflows", "mixed-overflows", "quotient-overflows", "sum-overflows",
+         "scaled-quotient-overflows"])
 def test_kantorovich_outside_the_float_range_raises(m, big_m):
     with pytest.raises(NonFiniteError, match="leaves the float range"):
         kantorovich(m, big_m)
