@@ -27,6 +27,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -53,6 +54,7 @@ from .matrixcore import (
     op_norm,
 )
 from .meansfuncs import (
+    _power,
     compress,
     eval_fn,
     get_fn,
@@ -215,20 +217,22 @@ def _need_weight(nu):
     return nu
 
 
-def _commutation(mod, a, y):
+def _commutation(mod, y):
     """(defect, ok) of the commutation hypothesis M Y = Y* M, with M =
     ``mod`` a modulus of A from `moduli`: the defect is ||M Y - Y* M||,
-    and ok when it is at most ALPHA_COMM_TOL (1 + ||A|| ||Y||).  Of
-    stacks, arrays with one entry per member."""
+    and ok when it is at most ALPHA_COMM_TOL (1 + ||A|| ||Y||), ||A||
+    being M's top eigenvalue (0 when A is empty).  Of stacks, arrays with
+    one entry per member."""
     m = mod.compose()
     dev = op_norm(m @ y - _adj(y) @ m)
-    return dev, dev <= ALPHA_COMM_TOL * (1.0 + op_norm(a) * op_norm(y))
+    return dev, dev <= ALPHA_COMM_TOL * (1.0 + mod.eigenvalues.max(-1, initial=0.0) * op_norm(y))
 
 
 def _pd_gate(p, q, what):
-    """(eP, eQ, gate) of stacks P and Q, each factorized once: gate[j] is
-    member j's joint spectrum bounds when its P and Q are both positive
-    definite, else the skip note naming ``what``."""
+    """(eP, eQ, gate) of stacks P and Q (or their factorizations), each
+    factorized once: gate[j] is member j's joint spectrum bounds when its
+    P and Q are both positive definite, else the skip note naming
+    ``what``."""
     ep, eq = _pair(herm_eigen, p, q)
     (ok_p, me_p), (ok_q, me_q) = pd_test(ep), pd_test(eq)
     live = [j for j, ok in enumerate(zip(ok_p, ok_q)) if all(ok)]
@@ -249,6 +253,20 @@ def _fn_of(m, h):
     return eval_fn(h, m)
 
 
+def _on_spectrum(e, fns, c=1.0):
+    """The factorization of c fn(H) for each member of a stack, from the
+    factorization e of H, positive semidefinite, with one fn (increasing
+    on [0, inf), so the order stays ascending) and one factor c >= 0 per
+    member: no function of H is factorized again.  Each member's fn runs
+    on its own eigenvalue row, as `apply_fn` runs it, with round-off
+    negatives set to 0 as `psd_pow` sets them; a value that overflows
+    raises NonFiniteError."""
+    vals = np.reshape([fn(np.maximum(w, 0.0)) for fn, w in zip(fns, e.eigenvalues)],
+                      e.eigenvalues.shape) * np.asarray(c)[..., None]
+    _require_finite(vals, "H")
+    return HermEigen(vals, e.eigenvectors)
+
+
 def _sum_of(fn, x, y, *args):
     """fn(x, *args) + fn(y, *args), the two from one `_pair` call."""
     fx, fy = _pair(fn, x, y, *args)
@@ -266,9 +284,11 @@ def _norms(*ms) -> list:
 
 
 def _by_id(k, member):
-    """Reports of k members as one list per id, member(j) giving member
-    j's reports in id order."""
-    return tuple(map(list, zip(*map(member, range(k)))))
+    """Reports of k members as one function per id that builds the id's
+    list when read (`_stage`), member(j) giving member j's report builders
+    in id order: so no id's report waits on a formula only a sibling
+    reads, and a single bound builds its own reports alone."""
+    return tuple(lambda col=col: [b() for b in col] for col in zip(*map(member, range(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +298,9 @@ def _by_id(k, member):
 # grid key as a list of k values (or one value for all), checks every
 # member's parameters, yields once the stacks whose numerical radii it reads,
 # receives their values (one list per stack) and returns its reports, one
-# list of k per id in the order of the family's ids (or a function that
-# builds the list when read).  Each step of a formula is one stacked call
+# list of k per id in the order of the family's ids, or a function that
+# builds the list when read (`_by_id`), so that a single bound builds no
+# sibling's report.  Each step of a formula is one stacked call
 # on all members that need it; a gate picks the members that pass it
 # before any function with a pole or a domain runs on them, and a scalar
 # function or exponent of a member is applied to its own eigenvalues.  So
@@ -513,16 +534,16 @@ def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
 
 
 def _gated(gate, params, ids, live_reports):
-    """One list of reports per id: a member that failed the gate skips
-    every id with its note; live_reports(i, j, bounds) gives the reports
-    of member j, the i-th live one, whose params then record the bounds
-    (m, M, k)."""
+    """The reports per id, each built when read (`_by_id`): a member that
+    failed the gate skips every id with its note; live_reports(i, j,
+    bounds) gives the report builders of member j, the i-th live one,
+    whose params then record the bounds (m, M, k)."""
     at = iter(range(len(gate)))
 
     def member(j):
         g = gate[j]
         if isinstance(g, str):
-            return tuple(_skipped(bid, params[j], g) for bid in ids)
+            return tuple(partial(_skipped, bid, params[j], g) for bid in ids)
         params[j].update(m=g.m, M=g.M, k=g.kantorovich)
         return live_reports(next(at), j, g)
 
@@ -546,8 +567,9 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     w, = yield _target(a, b, x)[live],
 
     def reports(i, j, sb):
-        return (_report("B06", lhs[i], (sb.m * sb.kantorovich / sb.M) * hf[j](w[i]), params[j]),
-                _report("B06p", lhs[i], hf[j](w[i]), params[j]))
+        c = sb.m * sb.kantorovich / sb.M
+        return (lambda: _report("B06", lhs[i], c * hf[j](w[i]), params[j]),
+                lambda: _report("B06p", lhs[i], hf[j](w[i]), params[j]))
 
     return _gated(gate, params, ("B06", "B06p"), reports)
 
@@ -566,17 +588,16 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
 
 def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     """Staged B07; w(A*XB) of the members whose powered pair passes the
-    gate."""
+    gate.  The powered pair is taken on the factorizations of P and Q."""
     k = len(a)
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     nu = [_need_weight(v) for v in _each(nu, k)]
-    p_mat, q_mat = _mean_pq(a, b, x, pair)
-    pw, qw = _pair(psd_pow, p_mat, q_mat,
-                   [1.0 / (1.0 - v) for v in nu] + [1.0 / v for v in nu])
+    ep, eq = _pair(herm_eigen, *_mean_pq(a, b, x, pair))
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": v}
               for pr, f, sg, v in zip(pair, hf, sigma, nu)]
-    epw, eqw, gate = _pd_gate(pw, qw, "powered pair")
+    epw, eqw, gate = _pd_gate(_on_spectrum(ep, [_power(1.0 / (1.0 - v)) for v in nu]),
+                              _on_spectrum(eq, [_power(1.0 / v) for v in nu]), "powered pair")
     live = _live(gate)
     hl = _pick(hf, live)
     lhs = op_norm(mean(*_pair(_fn_of, epw.take(live), eqw.take(live), hl),
@@ -584,8 +605,8 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     w, = yield _target(a, b, x)[live],
 
     def reports(i, j, sb):
-        return _report("B07", lhs[i], (sb.m * sb.kantorovich / sb.M) * hf[j](w[i] * w[i]),
-                       params[j]),
+        return lambda: _report("B07", lhs[i], (sb.m * sb.kantorovich / sb.M) * hf[j](w[i] * w[i]),
+                               params[j]),
 
     return _gated(gate, params, ("B07",), reports)
 
@@ -620,9 +641,9 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
 
     def reports(i, j, sb):
         c = sb.m * sb.kantorovich / sb.M
-        return (_report("B08", w[i], c * n08[i], params[j]),
-                _report("B09", hf[j](w[i]), 0.5 * c * n09[i], params[j]),
-                _report("B10", w[i] ** p[j], 0.5 * c * n10[i], params[j]))
+        return (lambda: _report("B08", w[i], c * n08[i], params[j]),
+                lambda: _report("B09", hf[j](w[i]), 0.5 * c * n09[i], params[j]),
+                lambda: _report("B10", w[i] ** p[j], 0.5 * c * n10[i], params[j]))
 
     return _gated(gate, params, ("B08", "B09", "B10"), reports)
 
@@ -651,20 +672,19 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
 
     def member(j):
         f, e, v, r = hf[j], p[j], w[j], w_rev[j]
-        return (_report("B11", f(v), 0.5 * f(prod[j]) + 0.5 * f(r),
-                        {"h": f.name, "omega_rev": r}),
-                _report("B12", v ** e, 0.5 * prod[j] ** e + 0.5 * r ** e,
-                        {"p": e, "omega_rev": r}))
+        return (lambda: _report("B11", f(v), 0.5 * f(prod[j]) + 0.5 * f(r),
+                                {"h": f.name, "omega_rev": r}),
+                lambda: _report("B12", v ** e, 0.5 * prod[j] ** e + 0.5 * r ** e,
+                                {"p": e, "omega_rev": r}))
 
     return _by_id(k, member)
 
 
 def _aluthge_parts(a, pair):
+    """(|A|, the f and the g of each member's pair, At) of a stack A."""
     f, g = _pair_fns(pair, _count(a))
     abs_a, _, u = moduli(a)
-    fa = eval_fn(f, abs_a)
-    ga = eval_fn(g, abs_a)
-    return fa, ga, fa @ u @ ga
+    return abs_a, f, g, eval_fn(f, abs_a) @ u @ eval_fn(g, abs_a)
 
 
 def aluthge_transform(a, pair="sqrt") -> np.ndarray:
@@ -673,7 +693,7 @@ def aluthge_transform(a, pair="sqrt") -> np.ndarray:
     The classic transform |A|^{1/2} U |A|^{1/2} is the "sqrt" pair;
     "pow:nu" gives |A|^{1-nu} U |A|^nu.
     """
-    return _aluthge_parts(a, pair)[2]
+    return _aluthge_parts(a, pair)[3]
 
 
 def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
@@ -688,22 +708,26 @@ def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
 
 
 def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
-    """Staged B13 and B15: w(A) and w(At), with |A| factorized once."""
+    """Staged B13 and B15: w(A) and w(At), with |A| factorized once.  f,
+    g and h increase and vanish at 0, so the norms of f(|A|), g(|A|) and
+    h(f^2(|A|)) + h(g^2(|A|)) are those functions of ||A||, the top
+    singular value."""
     k = len(a)
     pair = _each(pair, k)
     hf = [_need_kind(v, "increasing") for v in _each(h, k)]
     p = [_need_power(v) for v in _each(p, k)]
     a = _radius_stack(a)[0]
-    fa, ga, at = _aluthge_parts(a, pair)
+    abs_a, fs, gs, at = _aluthge_parts(a, pair)
     w, wt = yield a, at
-    nf, ng, n15 = _norms(fa, ga, _sum_of(_fn_of, _sym(fa @ fa), _sym(ga @ ga), hf))
+    top = abs_a.eigenvalues.max(axis=-1, initial=0.0).tolist()
 
     def member(j):
         f, e, v, t = hf[j], p[j], w[j], wt[j]
-        r13 = 0.5 * nf[j] ** e * ng[j] ** e + 0.5 * t ** e
-        r15 = 0.25 * n15[j] + 0.5 * f(t)
+        nf, ng = fs[j](top[j]), gs[j](top[j])
         params = {"pair": str(pair[j]), "h": f.name, "p": e, "omega_transform": t}
-        return _report("B13", v ** e, r13, params), _report("B15", f(v), r15, params)
+        return (lambda: _report("B13", v ** e, 0.5 * nf ** e * ng ** e + 0.5 * t ** e, params),
+                lambda: _report("B15", f(v), 0.25 * (f(nf * nf) + f(ng * ng)) + 0.5 * f(t),
+                                params))
 
     return _by_id(k, member)
 
@@ -744,10 +768,10 @@ def _symmetrized(a, b, x):
         r_a = (0.5 * (na[j] * na[j] + nb[j] * nb[j]) + cross[j]) * wx[j]
         r_b = (na[j] * nb[j] + cross[j]) * wx[j]
         r_17 = 2.0 * na[j] * nb[j] * wx[j]
-        return (_report("B16a", w[j], r_a, {"omega_x": wx[j]}),
-                _report("B16b", w[j], r_b, {"omega_x": wx[j]}),
-                _report("B17", w[j], r_17,
-                        {"omega_x": wx[j], "refinement_margin": r_17 - r_b}))
+        return (lambda: _report("B16a", w[j], r_a, {"omega_x": wx[j]}),
+                lambda: _report("B16b", w[j], r_b, {"omega_x": wx[j]}),
+                lambda: _report("B17", w[j], r_17,
+                                {"omega_x": wx[j], "refinement_margin": r_17 - r_b}))
 
     return _by_id(len(w), member)
 
@@ -789,45 +813,47 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     pair = _each(pair, k)
     fs, gs = _pair_fns(pair, k)
     e_a, e_as, _ = moduli(a)
-    dev, comm_ok = (v.tolist() for v in _commutation(e_as, a, x))
+    dev, comm_ok = (v.tolist() for v in _commutation(e_as, x))
     r = spectral_radius(x).tolist()
     w, = yield _target(a, b, x),
     one_minus = [1.0 - v for v in nu]
-    f2 = apply_fn(e_as, [_squared(f) for f in fs])
-    s1 = psd_pow(_sym(_adj(b) @ f2 @ b), [1.0 / c for c in one_minus])
-    s2 = apply_fn(e_a, [_squared(g, 2.0 / v) for g, v in zip(gs, nu)])
-    cw, nw, rr = _weights(one_minus), _weights(nu), _weights([v * v for v in r])
-    r18 = op_norm(_mix(cw, nw, *_pair(_fn_of, rr * s1, rr * s2, hf))).tolist()
+    # S1's base and T1, factorized once each; every function of S1, S2,
+    # T1 and |A| below is taken on these and on |A|'s factorization
+    e_s1, e_t1 = _pair(herm_eigen, _sym(_adj(b) @ apply_fn(e_as, [_squared(f) for f in fs]) @ b),
+                       _sym(_adj(b) @ psd_pow(e_as, [2.0 * c for c in one_minus]) @ b))
+    to_s1, rr = [_power(1.0 / c) for c in one_minus], [v * v for v in r]
 
-    small = [j for j in range(k) if r[j] <= 1.0 + 1e-12]
-    if small:
-        hs = _pick(hf, small)
-        n19 = iter(op_norm(_mix(_weights(_pick(one_minus, small)), _weights(_pick(nu, small)),
-                                *_pair(_fn_of, s1[small], s2[small], hs))).tolist())
+    def mixed(e1, fn1, e2, fn2, c, idx):
+        """(1-nu) h(c fn1(E1)) + nu h(c fn2(E2)) of the members at idx,
+        from factorizations E1 and E2."""
+        return _mix(_weights(_pick(one_minus, idx)), _weights(_pick(nu, idx)), *_pair(
+            _fn_of, _on_spectrum(e1.take(idx), _pick(fn1, idx), _pick(c, idx)),
+            _on_spectrum(e2.take(idx), _pick(fn2, idx), _pick(c, idx)), _pick(hf, idx)))
 
-    e_t1 = herm_eigen(_sym(_adj(b) @ psd_pow(e_as, [2.0 * c for c in one_minus]) @ b))
-    s2p = psd_pow(e_a, 2.0)
+    to_s2 = [_squared(g, 2.0 / v) for g, v in zip(gs, nu)]
+    r18 = op_norm(mixed(e_s1, to_s1, e_a, to_s2, rr, range(k))).tolist()
+    n19 = iter(op_norm(mixed(e_s1, to_s1, e_a, to_s2, [1.0] * k,
+                             [j for j in range(k) if r[j] <= 1.0 + 1e-12])).tolist())
     pe = [v.params[0] if v.name.startswith("pow:") else 1.0 for v in hf]
-    s1p, t1_21 = _pair(psd_pow, e_t1, e_t1, [1.0 / c for c in one_minus]
-                       + [e / c for e, c in zip(pe, one_minus)])
-    r20, n21 = _norms(_mix(cw, nw, *_pair(_fn_of, rr * s1p, rr * s2p, hf)),
-                      _mix(cw, nw, t1_21, psd_pow(e_a, [2.0 * e for e in pe])))
+    r20, n21 = _norms(mixed(e_t1, to_s1, e_a, [_power(2.0)] * k, rr, range(k)),
+                      _mix(_weights(one_minus), _weights(nu),
+                           psd_pow(e_t1, [e / c for e, c in zip(pe, one_minus)]),
+                           psd_pow(e_a, [2.0 * e for e in pe])))
 
     def member(j):
         f, rj, e, ok = hf[j], r[j], pe[j], comm_ok[j]
         base = {"pair": str(pair[j]), "h": f.name, "nu": nu[j], "r": rj,
                 "commutation_defect": dev[j]}
         note = "" if ok else f"commutation defect {dev[j]:.3e} exceeds gate"
-        lhs = f(w[j] * w[j])
-        if rj <= 1.0 + 1e-12:
-            rep19 = _report("B19", lhs, rj * rj * next(n19), base, ok, note)
-        else:
-            rep19 = _skipped("B19", base, f"spectral radius {rj:.6g} exceeds 1" + (
-                "; " + note if note else ""))
-        return (_report("B18", lhs, r18[j], base, ok, note), rep19,
-                _report("B20", lhs, r20[j], base, ok, note),
-                _report("B21", w[j] ** (2.0 * e), rj ** (2.0 * e) * n21[j],
-                        {**base, "p": e}, ok, note))
+        lhs = partial(f, w[j] * w[j])
+        r19 = rj * rj * next(n19) if rj <= 1.0 + 1e-12 else None
+        skip19 = f"spectral radius {rj:.6g} exceeds 1" + ("; " + note if note else "")
+        return (lambda: _report("B18", lhs(), r18[j], base, ok, note),
+                lambda: (_skipped("B19", base, skip19) if r19 is None
+                         else _report("B19", lhs(), r19, base, ok, note)),
+                lambda: _report("B20", lhs(), r20[j], base, ok, note),
+                lambda: _report("B21", w[j] ** (2.0 * e), rj ** (2.0 * e) * n21[j],
+                                {**base, "p": e}, ok, note))
 
     return _by_id(k, member)
 
@@ -1077,7 +1103,7 @@ def _l08(a, b, x, y, pair="sqrt") -> BoundReport:
     """|<ABx, y>| <= r(B) ||f(|A|) x|| ||g(|A*|) y|| when |A|B = B*|A|."""
     f, g = get_pair(pair)
     mods = moduli(a)
-    dev, ok = _commutation(mods[0], a, b)
+    dev, ok = _commutation(mods[0], b)
     params = {"pair": str(pair), "commutation_defect": dev}
     if not ok:
         return _skipped("L08", params, f"commutation defect {dev:.3e}")
@@ -1183,8 +1209,9 @@ class Family:
     `evaluate_bound` and ``numrad check`` use for a key not given.  It
     yields once the stacks whose radii it reads (classics: A, B*A, AB*, A*XB;
     block: A*XB, XBA*, BA*X; ...), and returns its reports, one list per
-    id.  Campaigns cycle each grid by trial index.  ``commuting_x``
-    marks a family whose hypothesis needs X to commute with |A*|.
+    id or a function that builds it when read.  Campaigns cycle each grid
+    by trial index.  ``commuting_x`` marks a family whose hypothesis needs
+    X to commute with |A*|.
 
     ``reads`` maps an id to the operands and grid keys its report depends
     on; an id without an entry reads all of them.  `required_operands` and

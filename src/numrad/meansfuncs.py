@@ -383,28 +383,29 @@ def kantorovich(m: float, big_m: float) -> float:
     """Kantorovich constant (M + m)^2 / (4 m M) for 0 < m <= M; where the
     constant leaves the float range, NonFiniteError.
 
-    Where 4 m M is below the least normal float, the constant is computed
-    on m and M scaled by 2^-e, M = 2^e f with 1/2 <= f < 1: it is scale
-    invariant and the scaling is exact, so a subnormal product costs no
-    digits (the scaled 4 m M stays normal unless the constant exceeds
-    1 / (4 least normal) = 1.1e307).  Elsewhere m and M are used as
-    given, so in-range values are unchanged by this rule."""
+    Where 4 m M is below the least normal float, or the constant computed
+    on m and M as given is not finite, it is computed on m and M scaled
+    by 2^-e, M = 2^e f with 1/2 <= f < 1: it is scale invariant and the
+    scaling is exact, so a subnormal product costs no digits (the scaled
+    4 m M stays normal unless the constant exceeds 1 / (4 least normal) =
+    1.1e307) and (M + m)^2 overflows no more (m = M = 1e160 gives 1).
+    Elsewhere m and M are used as given, so in-range values are unchanged
+    by this rule."""
     m = float(m)
     big_m = float(big_m)
     if not (0.0 < m <= big_m):
         raise InvalidSpecError(
             f"need 0 < m <= M, got m={m:g}, M={big_m:g}"
         )
-    lo, hi = m, big_m
-    if 4.0 * m * big_m < sys.float_info.min:
-        e = math.frexp(big_m)[1]
-        lo, hi = math.ldexp(m, -e), math.ldexp(big_m, -e)
-    try:
-        k = (hi + lo) ** 2 / (4.0 * lo * hi)
+    e = math.frexp(big_m)[1]
+    scaled = (math.ldexp(m, -e), math.ldexp(big_m, -e))
+    for lo, hi in ((m, big_m), scaled) if 4.0 * m * big_m >= sys.float_info.min else (scaled,):
+        try:
+            k = (hi + lo) ** 2 / (4.0 * lo * hi)
+        except (OverflowError, ZeroDivisionError):  # ** overflows and / by 0 raise
+            continue
         if math.isfinite(k):
             return k
-    except (OverflowError, ZeroDivisionError):  # ** overflows and / by 0 raise
-        pass
     raise NonFiniteError(f"the Kantorovich constant of m={m:g}, M={big_m:g} leaves the float range")
 
 

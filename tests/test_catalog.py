@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,7 @@ from numrad.errors import (
     NumradError,
     UnknownBoundIdError,
 )
+from numrad.harness import CampaignConfig, _draw
 from numrad.matrixcore import abs_op, polar
 from numrad.meansfuncs import mean
 from numrad.radii import RadiusResult, numerical_radius
@@ -946,6 +948,36 @@ def test_a_sibling_formula_that_overflows_fails_only_its_own_id():
             check_classics(a, b, x)
 
 
+def test_a_bound_builds_no_sibling_report():
+    # at ||A|| = 1e160, B = X = [1], B16a's rhs (||A||^2 + ||B||^2)/2 +
+    # ||AB*|| overflows, while B16b's and B17's sides are 2e160: each id's
+    # reports are built when read, so B16a alone raises
+    big = {"a": [[1e160]], "b": [[1.0]], "x": [[1.0]]}
+    with pytest.raises(NonFiniteError, match=r"^B16a: a side overflows .*rhs = inf"):
+        evaluate_bound("B16a", **big)
+    for bid in ("B16b", "B17"):
+        rep = evaluate_bound(bid, **big)
+        assert (rep.lhs, rep.rhs, rep.status()) == (2e160, 2e160, "pass"), bid
+
+
+def test_b07_slack_keeps_its_digits_under_rounding_perturbations():
+    # trial 90 of B07 in the seed-42 campaign (dim 4, nu = 0.25, M/m of
+    # the powered pair 1.7e9): 8 copies with A, B and X perturbed entrywise
+    # by 2^-50, in one stacked call.  With the powered pair P^{1/(1-nu)},
+    # Q^{1/nu} read off the factorizations of P and Q the slack moves by
+    # 3.3e-6 |rhs|; with the pair factorized again it moved by 6.4 |rhs|
+    fam, t, cfg = family_of("B07"), 90, CampaignConfig(seed=42)
+    _, _, mats = _draw(cfg, fam.operands, zlib.crc32(fam.name.encode()), t, False)
+    rng = np.random.default_rng(90)
+    stacks = {n: np.concatenate([m[None], m * (1.0 + 2.0 ** -50 * (
+        rng.standard_normal((8,) + m.shape) + 1j * rng.standard_normal((8,) + m.shape)))])
+        for n, m in mats.items()}
+    reps = evaluate_bound("B07", **stacks, **{k: g[t % len(g)] for k, g in fam.grids.items()})
+    assert reps[0].params["nu"] == 0.25 and all(r.hypothesis_ok for r in reps)
+    spread = max(abs(r.slack - reps[0].slack) for r in reps[1:])
+    assert spread <= 1e-4 * abs(reps[0].rhs)
+
+
 def test_a_formed_overflow_names_no_operand():
     # a non-finite operand is named; a matrix that a formula formed and
     # that overflowed is not blamed on a finite operand
@@ -1123,8 +1155,11 @@ def test_each_operand_is_factorized_once(monkeypatch):
     stubbed out: one SVD gives |X| and |X*|, one eigh each P and Q, reused
     by every function of them (B08's harmonic mean takes the gate's
     factorizations, so only its inner sum is factorized); check_classics
-    factorizes P, Q, A*A, B*B, AA* and BB* once each, and check_alpha its
-    T1 once for B20 and B21."""
+    factorizes P, Q, A*A, B*B, AA* and BB* once each.  Every function of a
+    factorized matrix is taken on its factorization: check_alpha
+    factorizes only S1's base and T1, B07 only P and Q (their powers are
+    read off), and B13/B15 and the commutation gate of B18-B21 and L08
+    read ||A|| off |A|'s SVD."""
     calls = {"eigh": 0, "svd": 0}
     for name in calls:
         # a stacked call factorizes each member of its stack; singular
@@ -1142,6 +1177,7 @@ def test_each_operand_is_factorized_once(monkeypatch):
     x = 2.0 * np.eye(3) + 0.1 * _rand(rng, 3)  # r(X) > 1: B19 skips
     p, q = _rand_pd(rng, 3), _rand_pd(rng, 3)
     unit = np.eye(3)[0]
+    abs_a = abs_op(a)  # commutes with |A|: L08's hypothesis holds
     steps = {
         "abs_op": lambda: abs_op(a),
         "polar": lambda: polar(a),
@@ -1151,8 +1187,11 @@ def test_each_operand_is_factorized_once(monkeypatch):
         "check_mean_h arith": lambda: check_mean_h(a, b, y),
         "check_omega_harmonic": lambda: check_omega_harmonic(a, b, y),
         "check_alpha": lambda: check_alpha(a, b, x),
+        "check_aluthge": lambda: check_aluthge(a),
+        "check_mean_h_weighted": lambda: check_mean_h_weighted(a, b, y),
         "check_classics": lambda: check_classics(a, b, y),
         "L01": lambda: check_lemma("L01", a=a, x=unit, y=unit),
+        "L08": lambda: check_lemma("L08", a=a, b=abs_a, x=unit, y=unit),
     }
     got = {}
     for label, step in steps.items():
@@ -1167,7 +1206,10 @@ def test_each_operand_is_factorized_once(monkeypatch):
         "mean geom": (3, 0),
         "check_mean_h arith": (2, 1),
         "check_omega_harmonic": (3, 1),
-        "check_alpha": (6, 1),
+        "check_alpha": (2, 1),
+        "check_aluthge": (0, 1),
+        "check_mean_h_weighted": (2, 1),
         "check_classics": (6, 1),
         "L01": (0, 1),
+        "L08": (0, 1),
     }

@@ -402,32 +402,31 @@ def test_eval_json_writes_a_non_finite_value_as_null(capsys, tmp_path):
 @pytest.mark.parametrize("value", [1e160, 1e-315])
 def test_eval_kantorovich_out_of_the_float_range_is_a_precondition_error(
         capsys, tmp_path, value):
-    # (M + m)^2 overflows at 1e160; at 1e-315, 4 m M is subnormal and the
-    # constant is computed on m and M scaled by a power of two: exactly 1
+    # (M + m)^2 overflows at 1e160 and 4 m M is subnormal at 1e-315; in
+    # both the constant is computed on m and M scaled by a power of two:
+    # exactly 1, not an error.  A constant that itself leaves the float
+    # range is the precondition error (exit 3)
     a = _write(tmp_path, "a.json", [[value]])
     code = main(["eval", "--q", "kantorovich", "--in", a])
+    assert (code, *capsys.readouterr()) == (0, f"{a}:kantorovich = 1\n", "")
+    wide = _write(tmp_path, "wide.json", np.diag([1e-300, 1e150]))
+    assert main(["eval", "--q", "kantorovich", "--in", wide]) == 3
     out, err = capsys.readouterr()
-    if value < 1.0:
-        assert (code, out, err) == (0, f"{a}:kantorovich = 1\n", "")
-        return
-    assert (code, out) == (3, "")
-    assert err.splitlines() == [
-        f"error: the Kantorovich constant of m={value:g}, M={value:g} "
-        "leaves the float range"]
+    assert out == "" and err.splitlines() == [
+        "error: the Kantorovich constant of m=1e-300, M=1e+150 leaves the float range"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bound", ["B06", "B08"])
 def test_check_kantorovich_overflow_is_a_precondition_error(capsys, tmp_path, bound):
-    # P = Q = [1e180] at A = B = X = [1e60]: their Kantorovich constant
-    # overflows, a one-line error that says so and exit 3, not a
-    # traceback and exit 1
+    # P = Q = [1e180] at A = B = X = [1e60]: (M + m)^2 overflows, but the
+    # Kantorovich constant is exactly 1 (computed on m and M scaled by a
+    # power of two), and both sides are finite: a verdict, not an error
     a = _write(tmp_path, "a.json", [[1e60]])
-    assert main(["check", "--bound", bound, "--A", a, "--B", a, "--X", a]) == 3
+    assert main(["check", "--bound", bound, "--A", a, "--B", a, "--X", a]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == [
-        "error: the Kantorovich constant of m=1e+180, M=1e+180 leaves the float range"]
+    assert err == "" and "satisfied = True" in out.splitlines()
+    assert "'k': 1.0" in out
 
 
 def test_check_json_params_omit_keys_the_bound_does_not_read(capsys, tmp_path):

@@ -264,10 +264,19 @@ def test_kantorovich_where_the_product_is_subnormal(m, big_m, k):
         assert kantorovich(m, big_m) == 1.0
 
 
-@pytest.mark.parametrize("m, big_m", [
-    (1e160, 1e160), (1.0, 1e160), (1e-300, 1e150), (1e308, 1.7e308), (1e-320, 1e-10)],
-    ids=["square-overflows", "mixed-overflows", "quotient-overflows", "sum-overflows",
-         "scaled-quotient-overflows"])
+@pytest.mark.parametrize("m, big_m, k", [
+    (1e160, 1e160, 1.0), (1.0, 1e160, 2.5e159), (1e308, 1.7e308, 2.7 ** 2 / 6.8)],
+    ids=["square-overflows", "mixed-overflows", "sum-overflows"])
+def test_kantorovich_where_the_square_overflows(m, big_m, k):
+    # (M + m)^2 or 4 m M leaves the float range, the constant does not:
+    # it is computed on m and M scaled by a power of two
+    assert kantorovich(m, big_m) == pytest.approx(k, rel=4 * np.finfo(float).eps)
+    if m == big_m:
+        assert kantorovich(m, big_m) == 1.0
+
+
+@pytest.mark.parametrize("m, big_m", [(1e-300, 1e150), (1e-320, 1e-10)],
+                         ids=["quotient-overflows", "scaled-quotient-overflows"])
 def test_kantorovich_outside_the_float_range_raises(m, big_m):
     with pytest.raises(NonFiniteError, match="leaves the float range"):
         kantorovich(m, big_m)
