@@ -57,7 +57,6 @@ from .matrixcore import (
     polar,
 )
 from .meansfuncs import (
-    MeanKind,
     ScalarFn,
     SpectrumBounds,
     compress,

@@ -54,6 +54,8 @@ from .matrixcore import (
     op_norm,
 )
 from .meansfuncs import (
+    _mean_kind,
+    _mean_spec,
     _power,
     compress,
     eval_fn,
@@ -180,6 +182,15 @@ def _report(bid, lhs, rhs, params=None, hypothesis_ok=True, note="") -> BoundRep
     slack = rhs - lhs
     return BoundReport(bid, lhs, rhs, slack, _within(slack, rhs, ATOL, RTOL),
                        hypothesis_ok, note, dict(params or {}))
+
+
+def _pow(v, e):
+    """v ** e of Python floats, or inf where it overflows, so that a report
+    side it becomes or feeds is rejected by `_report`."""
+    try:
+        return v ** e
+    except OverflowError:
+        return math.inf
 
 
 def _skipped(bid, params=None, note="hypothesis not met") -> BoundReport:
@@ -465,19 +476,19 @@ def _classics(a, b, x, p=1.0):
     def b03():
         w1 = w(1)
         rhs = op_norm(_sum_of(psd_pow, ah @ a, bh @ b, p)).tolist()
-        return [_report("B03", v ** e, 0.5 * r, {"p": e}) for v, r, e in zip(w1, rhs, p)]
+        return [_report("B03", _pow(v, e), 0.5 * r, {"p": e}) for v, r, e in zip(w1, rhs, p)]
 
     def b04():
         w1 = w(1)
         rhs = op_norm(_sum_of(psd_pow, a @ ah, b @ bh, p)).tolist()
         w2 = w(2)
-        return [_report("B04", v ** e, 0.25 * r + 0.5 * c ** e, {"p": e, "omega_cross": c})
+        return [_report("B04", _pow(v, e), 0.25 * r + 0.5 * _pow(c, e), {"p": e, "omega_cross": c})
                 for v, r, c, e in zip(w1, rhs, w2, p)]
 
     def b05():
         p_mat, q_mat = _mean_pq(a, b, x, "sqrt")
         rhs = op_norm(_sum_of(psd_pow, q_mat, p_mat, p)).tolist()
-        return [_report("B05", v ** e, 0.5 * r, {"p": e}) for r, v, e in zip(rhs, w(3), p)]
+        return [_report("B05", _pow(v, e), 0.5 * r, {"p": e}) for r, v, e in zip(rhs, w(3), p)]
 
     return b01, b02, b03, b04, b05
 
@@ -557,6 +568,7 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     pair, sigma = _each(pair, k), _each(sigma, k)
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     p_mat, q_mat = _mean_pq(a, b, x, pair)
+    sigma = [_mean_kind(v) for v in sigma]
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": 0.5}
               for pr, f, sg in zip(pair, hf, sigma)]
     ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
@@ -594,6 +606,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
     nu = [_need_weight(v) for v in _each(nu, k)]
     ep, eq = _pair(herm_eigen, *_mean_pq(a, b, x, pair))
+    sigma = [_mean_kind(v) for v in sigma]
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": v}
               for pr, f, sg, v in zip(pair, hf, sigma, nu)]
     epw, eqw, gate = _pd_gate(_on_spectrum(ep, [_power(1.0 / (1.0 - v)) for v in nu]),
@@ -643,7 +656,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
         c = sb.m * sb.kantorovich / sb.M
         return (lambda: _report("B08", w[i], c * n08[i], params[j]),
                 lambda: _report("B09", hf[j](w[i]), 0.5 * c * n09[i], params[j]),
-                lambda: _report("B10", w[i] ** p[j], 0.5 * c * n10[i], params[j]))
+                lambda: _report("B10", _pow(w[i], p[j]), 0.5 * c * n10[i], params[j]))
 
     return _gated(gate, params, ("B08", "B09", "B10"), reports)
 
@@ -674,7 +687,7 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
         f, e, v, r = hf[j], p[j], w[j], w_rev[j]
         return (lambda: _report("B11", f(v), 0.5 * f(prod[j]) + 0.5 * f(r),
                                 {"h": f.name, "omega_rev": r}),
-                lambda: _report("B12", v ** e, 0.5 * prod[j] ** e + 0.5 * r ** e,
+                lambda: _report("B12", _pow(v, e), 0.5 * _pow(prod[j], e) + 0.5 * _pow(r, e),
                                 {"p": e, "omega_rev": r}))
 
     return _by_id(k, member)
@@ -725,7 +738,8 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
         f, e, v, t = hf[j], p[j], w[j], wt[j]
         nf, ng = fs[j](top[j]), gs[j](top[j])
         params = {"pair": str(pair[j]), "h": f.name, "p": e, "omega_transform": t}
-        return (lambda: _report("B13", v ** e, 0.5 * nf ** e * ng ** e + 0.5 * t ** e, params),
+        return (lambda: _report("B13", _pow(v, e), 0.5 * _pow(nf, e) * _pow(ng, e)
+                                + 0.5 * _pow(t, e), params),
                 lambda: _report("B15", f(v), 0.25 * (f(nf * nf) + f(ng * ng)) + 0.5 * f(t),
                                 params))
 
@@ -852,7 +866,7 @@ def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
                 lambda: (_skipped("B19", base, skip19) if r19 is None
                          else _report("B19", lhs(), r19, base, ok, note)),
                 lambda: _report("B20", lhs(), r20[j], base, ok, note),
-                lambda: _report("B21", w[j] ** (2.0 * e), rj ** (2.0 * e) * n21[j],
+                lambda: _report("B21", _pow(w[j], 2.0 * e), _pow(rj, 2.0 * e) * n21[j],
                                 {**base, "p": e}, ok, note))
 
     return _by_id(k, member)
@@ -909,6 +923,8 @@ def _l02(a, b, v=None, h="inv", sigma="arith", tau="arith",
     when omitted); h operator monotone decreasing; sigma, tau any means.
     """
     hf = _need_kind(h, "decreasing")
+    _mean_spec(sigma, nu)
+    _mean_spec(tau, nu)
     params = {"h": hf.name, "sigma": str(sigma), "tau": str(tau), "nu": nu}
     ea, eb, (sb,) = _pd_gate(a[None], b[None], "operands")
     if isinstance(sb, str):
@@ -1076,8 +1092,7 @@ def _l06(a1, b1, a2, b2) -> BoundReport:
           + sqrt((w(B1A1) - w(B2A2))^2 + 4 ||B1A2|| ||B2A1||) / 2
     """
     w11, w22 = radius_values([b1 @ a1, b2 @ a2])
-    disc = math.sqrt((w11 - w22) ** 2
-                     + 4.0 * op_norm(b1 @ a2) * op_norm(b2 @ a1))
+    disc = math.sqrt(_pow(w11 - w22, 2) + 4.0 * op_norm(b1 @ a2) * op_norm(b2 @ a1))
     lhs = spectral_radius(a1 @ b1 + a2 @ b2)
     return _report("L06", lhs, 0.5 * (w11 + w22) + 0.5 * disc, {})
 

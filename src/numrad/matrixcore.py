@@ -272,35 +272,33 @@ def polar(a) -> PolarParts:
     return PolarParts(u, e.compose())
 
 
-def apply_fn(h, fn, domain: tuple[float, float] | None = None,
-             name: str = "fn", pole: bool = False) -> np.ndarray:
-    """Hermitian functional calculus: V diag(fn(w)) V*.
+def apply_fn(h, fn, name: str = "fn", pole: bool = False) -> np.ndarray:
+    """Hermitian functional calculus on [0, inf): V diag(fn(w)) V*.
 
     Every scalar function of a matrix in numrad is computed here, under
     four rules:
 
     * H is Hermitian to ``HERM_TOL`` (`herm_eigen`); a HermEigen of H is
       used as it is;
-    * ``pole=True`` marks a pole at the lower domain edge: H must then be
-      positive definite by `_pd_ok`, else NotPositiveDefiniteError;
-    * when ``domain`` is given, eigenvalues may stray outside it by at
-      most ``DOMAIN_TOL * max(1, ||H||)`` (they are clamped back to the
-      closed interval before evaluation); beyond that
-      DomainViolationError is raised;
+    * ``pole=True`` marks a pole at 0: H must then be positive definite
+      by `_pd_ok`, else NotPositiveDefiniteError;
+    * eigenvalues may fall below 0 by at most
+      ``DOMAIN_TOL * max(1, ||H||)``, and are clamped to 0 before
+      evaluation; beyond that DomainViolationError is raised;
     * ``fn`` must map the real eigenvalue vector elementwise to finite
       values (`_fn_values`).
 
-    On a stack, each of ``fn``, ``domain``, ``name`` and ``pole`` may be
-    a list with one entry per member.  Each member's rules are checked on
-    its own eigenvalues, member by member, and ``fn`` is called on each
-    member's eigenvalue row alone, so that member j's result equals the
-    call on it alone.  The first member that breaks a rule raises.
+    On a stack, each of ``fn``, ``name`` and ``pole`` may be a list with
+    one entry per member.  Each member's rules are checked on its own
+    eigenvalues, member by member, and ``fn`` is called on each member's
+    eigenvalue row alone, so that member j's result equals the call on
+    it alone.  The first member that breaks a rule raises.
     """
     e = herm_eigen(h)
     w = e.eigenvalues
     rows = w if w.ndim == 2 else w[None]
     k, n = rows.shape
-    fns, domains, names, poles = _each(fn, k), _each(domain, k), _each(name, k), _each(pole, k)
+    fns, names, poles = _each(fn, k), _each(name, k), _each(pole, k)
     if not n and any(poles):  # an empty spectrum is not positive definite
         raise NotPositiveDefiniteError(
             f"{names[poles.index(True)]} has a pole at the domain edge and needs "
@@ -313,19 +311,15 @@ def apply_fn(h, fn, domain: tuple[float, float] | None = None,
                 f"{names[j]} has a pole at the domain edge and needs a positive "
                 f"definite argument (min eigenvalue {bottom:.6g})"
             )
-        if domains[j] is None:
-            continue
-        lo, hi = domains[j]
-        slack = DOMAIN_TOL * max(1.0, -bottom, top)
-        if bottom < lo - slack or top > hi + slack:
+        if bottom < -DOMAIN_TOL * max(1.0, -bottom, top):
             raise DomainViolationError(
                 f"spectrum [{bottom:.6g}, {top:.6g}] leaves the "
-                f"domain [{lo:.6g}, {hi:.6g}] of {names[j]}"
+                f"domain [0, inf] of {names[j]}"
             )
-        if bottom < lo or top > hi:
+        if bottom < 0.0:
             if args is rows:
                 args = list(rows)
-            args[j] = np.clip(rows[j], lo, hi)
+            args[j] = np.maximum(rows[j], 0.0)
     vals = np.empty((k, n))
     for j in range(k):
         vals[j] = _fn_row(fns[j], args[j], names[j])

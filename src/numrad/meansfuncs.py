@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -55,10 +54,8 @@ __all__ = [
     "ScalarFn",
     "get_fn",
     "get_pair",
-    "list_fns",
     "eval_fn",
     "psd_pow",
-    "MeanKind",
     "mean",
     "kantorovich",
     "SpectrumBounds",
@@ -76,15 +73,14 @@ class ScalarFn:
     """A registered scalar function together with its calculus metadata.
 
     ``kind`` is "decreasing" (operator monotone decreasing) or
-    "increasing" (increasing convex, h(0) = 0).  ``strict_lo`` marks a
-    pole at the lower domain edge, in which case a matrix argument must be
-    positive definite.  A call on scalars or arrays obeys the finiteness
-    rule of `matrixcore.apply_fn`.
+    "increasing" (increasing convex, h(0) = 0); every function acts on
+    [0, inf), the domain of `matrixcore.apply_fn`.  ``strict_lo`` marks a
+    pole at 0, in which case a matrix argument must be positive definite.
+    A call on scalars or arrays obeys the finiteness rule of `apply_fn`.
     """
 
     name: str
     kind: str
-    domain: tuple[float, float]
     fn: Callable[[np.ndarray], np.ndarray]
     strict_lo: bool = False
     params: tuple[float, ...] = field(default=())
@@ -96,33 +92,30 @@ class ScalarFn:
 
 
 def _fn_inv() -> ScalarFn:
-    return ScalarFn("inv", "decreasing", (0.0, np.inf), lambda t: 1.0 / t,
-                    strict_lo=True)
+    return ScalarFn("inv", "decreasing", lambda t: 1.0 / t, strict_lo=True)
 
 
 def _fn_inv_pow(s: float) -> ScalarFn:
     if not 0.0 < s <= 1.0:
         raise InvalidSpecError(f"inv_pow exponent must lie in (0, 1], got {s}")
-    return ScalarFn(f"inv_pow:{s:g}", "decreasing", (0.0, np.inf),
-                    lambda t, s=s: t ** (-s), strict_lo=True, params=(s,))
+    return ScalarFn(f"inv_pow:{s:g}", "decreasing", lambda t, s=s: t ** (-s),
+                    strict_lo=True, params=(s,))
 
 
 def _fn_shifted_inv(c: float) -> ScalarFn:
     if not c > 0.0:
         raise InvalidSpecError(f"shifted_inv offset must be positive, got {c}")
-    return ScalarFn(f"shifted_inv:{c:g}", "decreasing", (0.0, np.inf),
-                    lambda t, c=c: 1.0 / (t + c), params=(c,))
+    return ScalarFn(f"shifted_inv:{c:g}", "decreasing", lambda t, c=c: 1.0 / (t + c), params=(c,))
 
 
 def _fn_pow(p: float) -> ScalarFn:
     if not p >= 1.0:
         raise InvalidSpecError(f"pow exponent must be >= 1, got {p}")
-    return ScalarFn(f"pow:{p:g}", "increasing", (0.0, np.inf),
-                    lambda t, p=p: t ** p, params=(p,))
+    return ScalarFn(f"pow:{p:g}", "increasing", lambda t, p=p: t ** p, params=(p,))
 
 
 def _fn_expm1() -> ScalarFn:
-    return ScalarFn("expm1", "increasing", (0.0, np.inf), np.expm1)
+    return ScalarFn("expm1", "increasing", np.expm1)
 
 
 _BUILDERS = {
@@ -175,25 +168,17 @@ def get_pair(spec) -> tuple[ScalarFn, ScalarFn]:
     if head == "sqrt":
         if args:
             raise InvalidSpecError("sqrt pair takes no parameters")
-        f = ScalarFn("sqrt.f", "pair", (0.0, np.inf), np.sqrt)
-        return f, ScalarFn("sqrt.g", "pair", (0.0, np.inf), np.sqrt)
+        return ScalarFn("sqrt.f", "pair", np.sqrt), ScalarFn("sqrt.g", "pair", np.sqrt)
     if head == "pow":
         if len(args) != 1:
             raise InvalidSpecError("pow pair takes exactly one parameter")
         nu = args[0]
         if not 0.0 < nu < 1.0:
             raise InvalidSpecError(f"pair exponent must lie in (0, 1), got {nu}")
-        f = ScalarFn(f"pow_pair.f:{nu:g}", "pair", (0.0, np.inf),
-                     lambda t, e=1.0 - nu: t ** e, params=(1.0 - nu,))
-        g = ScalarFn(f"pow_pair.g:{nu:g}", "pair", (0.0, np.inf),
-                     lambda t, e=nu: t ** e, params=(nu,))
-        return f, g
+        return (ScalarFn(f"pow_pair.f:{nu:g}", "pair", lambda t, e=1.0 - nu: t ** e,
+                         params=(1.0 - nu,)),
+                ScalarFn(f"pow_pair.g:{nu:g}", "pair", lambda t, e=nu: t ** e, params=(nu,)))
     raise InvalidSpecError(f"unknown pair {spec!r}; known: sqrt, pow:nu")
-
-
-def list_fns() -> list[str]:
-    """Names of the registered scalar function templates."""
-    return sorted(_BUILDERS)
 
 
 def _mapped(v, fn):
@@ -207,13 +192,13 @@ def eval_fn(spec, h) -> np.ndarray:
     HermEigen, or to each member of a stack (``spec`` may then list one
     function per member).
 
-    `matrixcore.apply_fn` with the function's own domain and name, and a
-    pole when ``strict_lo`` is set: inv-type functions then raise
+    `matrixcore.apply_fn` with the function's own name, and a pole when
+    ``strict_lo`` is set: inv-type functions then raise
     NotPositiveDefiniteError unless the argument is positive definite.
     """
     f = _mapped(spec, get_fn)
-    return apply_fn(h, _mapped(f, lambda g: g.fn), _mapped(f, lambda g: g.domain),
-                    _mapped(f, lambda g: g.name), _mapped(f, lambda g: g.strict_lo))
+    return apply_fn(h, _mapped(f, lambda g: g.fn), _mapped(f, lambda g: g.name),
+                    _mapped(f, lambda g: g.strict_lo))
 
 
 def pd_test(p):
@@ -242,8 +227,8 @@ def psd_pow(p, s) -> np.ndarray:
     below zero are clamped to zero, and a negative exponent is a pole, so
     P must then be positive definite.
     """
-    return apply_fn(p, _mapped(s, _power), (0.0, np.inf),
-                    _mapped(s, "pow:{:g}".format), _mapped(s, lambda e: e < 0))
+    return apply_fn(p, _mapped(s, _power), _mapped(s, "pow:{:g}".format),
+                    _mapped(s, lambda e: e < 0))
 
 
 def require_pd(p, name: str = "P"):
@@ -261,40 +246,34 @@ def require_pd(p, name: str = "P"):
     return p
 
 
-class MeanKind(str, Enum):
-    """The three operator means handled by `mean`."""
-
-    ARITH = "arith"
-    GEOM = "geom"
-    HARM = "harm"
+# the names of the three operator means of `mean`
+_MEANS = ("arith", "geom", "harm")
 
 
-def mean(a, b, kind=MeanKind.ARITH, nu: float = 0.5) -> np.ndarray:
+def mean(a, b, kind="arith", nu: float = 0.5) -> np.ndarray:
     """Weighted operator mean of two positive definite matrices.
 
     kind="arith": (1-nu) A + nu B
     kind="harm" : ((1-nu) A^-1 + nu B^-1)^-1
     kind="geom" : A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2)
 
-    nu must lie in [0, 1].  The harmonic and geometric means require
-    both operands positive definite; the arithmetic mean accepts any
-    Hermitian pair.  A HermEigen stands for the matrix it factorizes and
-    is not factorized again.  A and B may be (k, n, n) stacks, with
-    ``kind`` and ``nu`` lists of one value per member; each step is one
-    stacked call on the members that take it.
+    kind is one of these three names and nu must lie in [0, 1]
+    (`_mean_spec`), else InvalidSpecError.  The harmonic and geometric
+    means require both operands positive definite; the arithmetic mean
+    accepts any Hermitian pair.  A HermEigen stands for the matrix it
+    factorizes and is not factorized again.  A and B may be (k, n, n)
+    stacks, with ``kind`` and ``nu`` lists of one value per member; each
+    step is one stacked call on the members that take it.
     """
-    kinds = _mapped(kind, _mean_kind)
-    for w in nu if isinstance(nu, list) else [nu]:
-        if not 0.0 <= w <= 1.0:
-            raise InvalidSpecError(f"mean weight must lie in [0, 1], got {w}")
+    kinds, nu = _mean_spec(kind, nu)
     (a, a_flat), (b, b_flat) = _mean_operand(a, "A"), _mean_operand(b, "B")
     if _shape(a) != _shape(b) or a_flat != b_flat:
         raise InvalidSpecError(
             f"mean operands differ in shape: {_shape(a)} vs {_shape(b)}")
     k = _shape(a)[0]
     kinds, nu = _each(kinds, k), _each(nu, k)
-    arith = [j for j in range(k) if kinds[j] is MeanKind.ARITH]
-    pd = [j for j in range(k) if kinds[j] is not MeanKind.ARITH]
+    arith = [j for j in range(k) if kinds[j] == "arith"]
+    pd = [j for j in range(k) if kinds[j] != "arith"]
     parts = []
     if arith:
         parts.append((arith, _arith(_take(a, arith), _take(b, arith), _pick(nu, arith))))
@@ -311,13 +290,23 @@ def mean(a, b, kind=MeanKind.ARITH, nu: float = 0.5) -> np.ndarray:
     return out[0] if a_flat else out
 
 
-def _mean_kind(kind) -> MeanKind:
-    try:
-        return MeanKind(kind)
-    except ValueError:
-        raise InvalidSpecError(
-            f"unknown mean {kind!r}; known: arith, geom, harm"
-        ) from None
+def _mean_kind(kind) -> str:
+    """``kind`` if it is the name of a mean (`_MEANS`), else
+    InvalidSpecError."""
+    if not isinstance(kind, str) or kind not in _MEANS:
+        raise InvalidSpecError(f"unknown mean {kind!r}; known: {', '.join(_MEANS)}")
+    return kind
+
+
+def _mean_spec(kind, nu):
+    """(kind, nu) of `mean`, each one value or a list of one per member,
+    checked: each kind a mean's name (`_mean_kind`), then each weight in
+    [0, 1]; else InvalidSpecError."""
+    kinds = _mapped(kind, _mean_kind)
+    for w in nu if isinstance(nu, list) else [nu]:
+        if not 0.0 <= w <= 1.0:
+            raise InvalidSpecError(f"mean weight must lie in [0, 1], got {w}")
+    return kinds, nu
 
 
 def _mean_operand(m, name):
@@ -348,8 +337,8 @@ def _pd_means(ea, eb, b, kinds, nu):
     eA and eB of positive definite A and B.  Each mean is a power of one
     matrix: ((1-nu) A^-1 + nu B^-1)^-1, or (A^(-1/2) B A^(-1/2))^nu inside
     A^(1/2) . A^(1/2); the powers of all members are one stacked call."""
-    harm = [i for i, kd in enumerate(kinds) if kd is MeanKind.HARM]
-    geom = [i for i, kd in enumerate(kinds) if kd is MeanKind.GEOM]
+    harm = [i for i, kd in enumerate(kinds) if kd == "harm"]
+    geom = [i for i, kd in enumerate(kinds) if kd == "geom"]
     inner, power = [], []
     if harm:
         inv_a, inv_b = _pair(psd_pow, ea.take(harm), eb.take(harm), -1.0)
@@ -422,32 +411,24 @@ class SpectrumBounds:
 
 
 def spectrum_bounds(mats):
-    """Joint spectral bounds of a Hermitian matrix, or of a list of
-    Hermitian matrices or their HermEigens.
+    """Joint spectral bounds of a list of Hermitian matrices or their
+    HermEigens, or of a list of (k, n, n) stacks or stacked HermEigens.
 
-    Returns the smallest eigenvalue across the family as ``m`` and the
-    largest as ``M``; these are the tightest constants with
-    m I <= X <= M I for every member X.  An entry of the list may be a
-    (k, n, n) stack or a stacked HermEigen: the result is then the list
-    of k SpectrumBounds, member j's over the j-th members of the stacked
-    entries and the whole of the others.
+    Of matrices, the smallest eigenvalue across the family as ``m`` and
+    the largest as ``M``: the tightest constants with m I <= X <= M I for
+    every member X.  Of stacks, the list of k SpectrumBounds, member j's
+    over the j-th members of the stacks.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 2:
-        mats = [mats]
-    lows, highs, k = [], [], None
+    lows, highs = [], []
     for x in mats:
         w = herm_eigen(x).eigenvalues
-        if w.ndim > 1:
-            k = w.shape[0]
         if w.shape[-1]:
-            lows.append(w[..., 0])
-            highs.append(w[..., -1])
+            lows.append(w[..., 0].tolist())
+            highs.append(w[..., -1].tolist())
     if not lows:
         raise HypothesisViolatedError("spectrum_bounds of an empty family")
-    if k is None:
-        return SpectrumBounds(min(map(float, lows)), max(map(float, highs)))
-    lows, highs = ([v.tolist() if v.ndim else [float(v)] * k for v in vs]
-                   for vs in (lows, highs))
+    if not isinstance(lows[0], list):
+        return SpectrumBounds(min(lows), max(highs))
     return [SpectrumBounds(min(lo), max(hi)) for lo, hi in zip(zip(*lows), zip(*highs))]
 
 

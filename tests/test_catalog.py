@@ -1213,3 +1213,39 @@ def test_each_operand_is_factorized_once(monkeypatch):
         "L01": (0, 1),
         "L08": (0, 1),
     }
+
+
+# ------------------------------------------------- parameter and overflow errors
+
+def test_a_power_past_the_float_range_is_a_non_finite_side():
+    # w^p and ||A||^p are Python-float powers: where one overflows it is
+    # inf, which `_report` rejects as a side, not a bare OverflowError
+    big, one = [[1e160]], [[1.0]]
+    with pytest.raises(NonFiniteError, match="^B13: a side overflows"):
+        evaluate_bound("B13", a=big, p=3.0)
+    with pytest.raises(NonFiniteError, match="^B12: a side overflows"):
+        evaluate_bound("B12", a=big, b=one, p=3.0)
+    with pytest.raises(NonFiniteError, match="^L06: a side overflows"):
+        check_lemma("L06", a1=big, b1=one, a2=one, b2=one)
+    # in range, the power is the float power
+    rep = evaluate_bound("B13", a=[[1e100]], p=3.0)
+    assert rep.lhs == 1e100 ** 3.0 and rep.status() == "pass"
+
+
+def test_an_invalid_mean_is_rejected_before_the_gate():
+    # sigma, tau and nu of the means are checked as h and the pair are,
+    # also for members whose P and Q fail the positive-definiteness gate
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    for bid in ("B06", "B06p", "B07"):
+        assert evaluate_bound(bid, a=zero, b=zero, x=one).status() == "skip"
+        with pytest.raises(InvalidSpecError, match="unknown mean 'bogus'"):
+            evaluate_bound(bid, a=zero, b=zero, x=one, sigma="bogus")
+    # a stack whose bad sigma belongs to the member that the gate skips
+    a = np.stack([zero, one])
+    with pytest.raises(InvalidSpecError, match="unknown mean 'bogus'"):
+        evaluate_bound("B06", a=a, b=a, x=np.stack([one, one]), sigma=["bogus", "arith"])
+    indefinite = np.diag([1.0, -1.0])
+    assert check_lemma("L02", a=indefinite, b=I2).status() == "skip"
+    for bad in ({"sigma": "bogus"}, {"tau": "bogus"}, {"nu": 5.0}):
+        with pytest.raises(InvalidSpecError):
+            check_lemma("L02", a=indefinite, b=I2, **bad)

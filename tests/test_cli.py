@@ -386,6 +386,30 @@ def test_check_a_radius_above_the_float_range_is_a_precondition_error(capsys, tm
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound", ["B12", "B13"])
+def test_check_a_power_past_the_float_range_is_a_precondition_error(capsys, tmp_path, bound):
+    # w(A)^3 = 1e480 at A = [1e160] is past the float range: the side is
+    # inf, which the report rejects (exit 3), not a bare OverflowError
+    big = _write(tmp_path, "big.json", [[1e160]])
+    one = _write(tmp_path, "one.json", [[1.0]])
+    operands = ["--A", big] + (["--B", one] if bound == "B12" else [])
+    assert main(["check", "--bound", bound, *operands, "--p", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bound}: a side overflows to non-finite")
+
+
+def test_check_an_invalid_mean_is_an_error_also_where_the_gate_skips(capsys, tmp_path):
+    # P = Q = 0 fails the gate, yet the unknown mean is still the error
+    zero = _write(tmp_path, "z.json", [[0.0]])
+    one = _write(tmp_path, "one.json", [[1.0]])
+    for a in (zero, one):
+        args = ["check", "--bound", "B06", "--A", a, "--B", a, "--X", one]
+        assert main([*args, "--sigma", "bogus"]) == 3
+        assert "unknown mean 'bogus'" in capsys.readouterr().err
+    assert main(["check", "--bound", "B06", "--A", zero, "--B", zero, "--X", one]) == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eval_json_writes_a_non_finite_value_as_null(capsys, tmp_path):
     # w(A) = 3.4e308 of a 2x2 of 1.7e308 is inf: strict JSON has null
     a = _write(tmp_path, "a.json", np.full((2, 2), 1.7e308))

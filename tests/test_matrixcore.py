@@ -171,22 +171,24 @@ def test_herm_eigen_returns_a_factorization_unchanged():
     h = np.array([[2.0, 1.0], [1.0, 3.0]])
     e = herm_eigen(h)
     assert herm_eigen(e) is e
-    assert_allclose(apply_fn(e, np.sqrt, (0.0, np.inf)),
-                    apply_fn(h, np.sqrt, (0.0, np.inf)), rtol=0, atol=0)
+    assert_allclose(apply_fn(e, np.sqrt), apply_fn(h, np.sqrt), rtol=0, atol=0)
 
 
 def test_apply_fn_matches_scalar_calculus():
     h = np.diag([1.0, 4.0])
-    assert_allclose(apply_fn(h, np.sqrt, (0, np.inf)), np.diag([1.0, 2.0]),
-                    atol=1e-12)
+    assert_allclose(apply_fn(h, np.sqrt), np.diag([1.0, 2.0]), atol=1e-12)
 
 
 def test_apply_fn_domain_violation():
     with pytest.raises(DomainViolationError):
-        apply_fn(np.diag([-1.0, 1.0]), np.sqrt, (0.0, np.inf))
+        apply_fn(np.diag([-1.0, 1.0]), np.sqrt)
+    # every function is taken on [0, inf), also one defined on all reals
+    with pytest.raises(DomainViolationError,
+                       match=r"spectrum \[-1, 1\] leaves the domain \[0, inf\] of exp"):
+        apply_fn(np.diag([-1.0, 1.0]), np.exp, "exp")
     # a value that overflows is outside the function's usable domain too
     with np.errstate(over="ignore"), pytest.raises(DomainViolationError):
-        apply_fn(np.diag([1.0, 900.0]), np.expm1, (0.0, np.inf), "expm1")
+        apply_fn(np.diag([1.0, 900.0]), np.expm1, "expm1")
     with pytest.raises(DomainViolationError):
         apply_fn(np.eye(2), lambda t: np.full_like(t, np.nan))
 
@@ -194,8 +196,9 @@ def test_apply_fn_domain_violation():
 def test_apply_fn_clamps_edge_roundoff():
     # a -1e-14 eigenvalue is inside the tolerance band and gets clamped
     h = np.diag([-1e-14, 1.0])
-    out = apply_fn(h, np.sqrt, (0.0, np.inf))
+    out = apply_fn(h, np.sqrt)
     assert np.all(np.isfinite(out))
+    assert_allclose(out, np.diag([0.0, 1.0]), rtol=0, atol=0)
 
 
 def test_degenerate_sizes():
