@@ -649,14 +649,20 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     if live:
         ep, eq = ep.take(live), eq.take(live)
         hl, pl = _pick(hf, live), _pick(p, live)
-        n08, n09, n10 = _norms(mean(ep, eq, "harm", 0.5), _sum_of(_fn_of, ep, eq, hl),
-                               _sum_of(psd_pow, ep, eq, pl))
+        mats = (mean(ep, eq, "harm", 0.5), _sum_of(_fn_of, ep, eq, hl),
+                _sum_of(psd_pow, ep, eq, pl))
+        try:
+            n08, n09, n10 = (n.__getitem__ for n in _norms(*mats))
+        except NonFiniteError:
+            # a matrix overflowed: each id takes its members' norms in its
+            # own builder, so that it fails only on its own matrix
+            n08, n09, n10 = (lambda i, m=m: op_norm(m[i]) for m in mats)
 
     def reports(i, j, sb):
         c = sb.m * sb.kantorovich / sb.M
-        return (lambda: _report("B08", w[i], c * n08[i], params[j]),
-                lambda: _report("B09", hf[j](w[i]), 0.5 * c * n09[i], params[j]),
-                lambda: _report("B10", _pow(w[i], p[j]), 0.5 * c * n10[i], params[j]))
+        return (lambda: _report("B08", w[i], c * n08(i), params[j]),
+                lambda: _report("B09", hf[j](w[i]), 0.5 * c * n09(i), params[j]),
+                lambda: _report("B10", _pow(w[i], p[j]), 0.5 * c * n10(i), params[j]))
 
     return _gated(gate, params, ("B08", "B09", "B10"), reports)
 

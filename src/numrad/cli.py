@@ -192,9 +192,9 @@ def cmd_campaign(args) -> int:
     print(f"total failures: {report.total_failed}")
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+            report.write_csv(fh)
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            report.write_json(fh)
         print(f"wrote {args.out}.csv and {args.out}.json")
     return EXIT_OK if report.total_failed == 0 else EXIT_VIOLATED
 

@@ -15,6 +15,7 @@ the record standalone to the identical slack.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -276,6 +277,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# json.dumps(doc, sort_keys=True, allow_nan=True) encodes with these
+# settings, so the pieces of a report it encodes join to that text
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=True).encode
+
+
 @dataclass
 class CampaignReport:
     """Everything a campaign produced, in deterministic order."""
@@ -290,27 +296,42 @@ class CampaignReport:
     def total_failed(self) -> int:
         return sum(s["failed"] for s in self.per_bound.values())
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bound_id,trial,dim,seed,lhs,rhs,slack,status\n")
-        for r in list(self.rows) + list(self.info_rows):
-            buf.write(
+    def write_csv(self, fh) -> None:
+        """Write the CSV of the verdict rows, then the info rows, to ``fh``."""
+        fh.write("bound_id,trial,dim,seed,lhs,rhs,slack,status\n")
+        for r in itertools.chain(self.rows, self.info_rows):
+            fh.write(
                 f"{r['bound_id']},{r['trial']},{r['dim']},{r['seed']},"
                 f"{_fmt(r['lhs'])},{_fmt(r['rhs'])},{_fmt(r['slack'])},"
                 f"{r['status']}\n"
             )
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
         return buf.getvalue()
 
+    def _json_parts(self):
+        """The text of `to_json` in pieces, in sorted key order, a failure
+        record at a time, so that a writer never holds the whole text."""
+        yield '{"config": ' + _ENCODE(self.config) + ', "failures": ['
+        for i, rec in enumerate(self.failures):
+            yield ", " + _ENCODE(rec) if i else _ENCODE(rec)
+        yield "]"
+        for key in ("info_rows", "per_bound", "rows"):
+            yield f', "{key}": '
+            yield _ENCODE(getattr(self, key))
+        yield "}"
+
+    def write_json(self, fh) -> None:
+        """Write `to_json`'s text to ``fh`` a piece at a time."""
+        fh.writelines(self._json_parts())
+
     def to_json(self) -> str:
-        """The report as one line of JSON, keys sorted, NaN and Infinity kept."""
-        doc = {
-            "config": self.config,
-            "per_bound": self.per_bound,
-            "rows": self.rows,
-            "failures": self.failures,
-            "info_rows": self.info_rows,
-        }
-        return json.dumps(doc, sort_keys=True, allow_nan=True)
+        """The report as one line of JSON, keys sorted, NaN and Infinity kept:
+        json.dumps(doc, sort_keys=True, allow_nan=True) of the document with
+        keys config, failures, info_rows, per_bound and rows."""
+        return "".join(self._json_parts())
 
     def summary_lines(self) -> list:
         lines = []

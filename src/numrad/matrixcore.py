@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainViolationError,
+    InvalidSpecError,
     NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -342,17 +343,17 @@ def _pd_ok(w):
 
 def _fn_row(fn, w: np.ndarray, name: str) -> np.ndarray:
     """fn on the real argument w (a 0-d value or ascending eigenvalues),
-    which must act elementwise (ValueError otherwise)."""
+    which must act elementwise (InvalidSpecError otherwise)."""
     vals = np.asarray(fn(w), dtype=float)
     if vals.shape != w.shape:
-        raise ValueError(f"{name} must map eigenvalues elementwise")
+        raise InvalidSpecError(f"{name} must map eigenvalues elementwise")
     return vals
 
 
 def _fn_values(fn, w: np.ndarray, name: str) -> np.ndarray:
     """fn on the real argument w (a 0-d value or ascending eigenvalues):
-    elementwise (ValueError otherwise) and finite (DomainViolationError
-    otherwise)."""
+    elementwise (InvalidSpecError otherwise) and finite
+    (DomainViolationError otherwise)."""
     vals = _fn_row(fn, w, name)
     if not np.isfinite(vals).all():
         raise DomainViolationError(

@@ -417,14 +417,18 @@ def spectrum_bounds(mats):
     Of matrices, the smallest eigenvalue across the family as ``m`` and
     the largest as ``M``: the tightest constants with m I <= X <= M I for
     every member X.  Of stacks, the list of k SpectrumBounds, member j's
-    over the j-th members of the stacks.
+    over the j-th members of the stacks.  A list that mixes matrices and
+    stacks raises InvalidSpecError.
     """
-    lows, highs = [], []
+    lows, highs, ranks = [], [], set()
     for x in mats:
         w = herm_eigen(x).eigenvalues
+        ranks.add(w.ndim)
         if w.shape[-1]:
             lows.append(w[..., 0].tolist())
             highs.append(w[..., -1].tolist())
+    if len(ranks) > 1:
+        raise InvalidSpecError("spectrum_bounds takes matrices or stacks, not both")
     if not lows:
         raise HypothesisViolatedError("spectrum_bounds of an empty family")
     if not isinstance(lows[0], list):

@@ -30,7 +30,10 @@ k members at once, with one stacked LAPACK call per scan, Newton round
 and level-set solve; member j's result equals the call on A[j] alone bit
 for bit, so a single matrix is a stack of one.  A long stack goes through
 in chunks whose scan holds at most _CHUNK = 2^17 complex entries (2 MB,
-the scans of 32 members at n = 16), so its working memory stays bounded.
+the scans of 32 members at n = 16), so its working memory stays bounded:
+a chunk's scan matrices fill one buffer in place, a block of members at a
+time, and the block's temporary products hold at most _CHUNK // 64
+entries (or one member's, where that is more).
 
 `numerical_radius_oracle` is an independent cross-check: alternating
 ascent on (x, theta), which climbs monotonically and shares no code with
@@ -121,8 +124,19 @@ def _top(h: np.ndarray, g: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 def _scan(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f at the 32 angles of _GRID (a (k, 32) array), from one eigvalsh
-    call over the first 16: f(theta + pi) = -lambda_min(M(theta))."""
-    w = np.linalg.eigvalsh(_HALF_COS * h[:, None] - _HALF_SIN * g[:, None])
+    call over the first 16: f(theta + pi) = -lambda_min(M(theta)).
+
+    The (k, 16, n, n) matrices M(theta) are formed in one buffer, a block
+    of members at a time, so that the products cos(theta) H and
+    sin(theta) G of a block hold at most _CHUNK // 64 complex entries
+    (or one member's, where that is more)."""
+    k, n = h.shape[0], h.shape[-1]
+    m = np.empty((k, _HALF, n, n), np.complex128)
+    step = max(1, _CHUNK // 64 // (_HALF * n * n))
+    for at in range(0, k, step):
+        blk = slice(at, at + step)
+        np.subtract(_HALF_COS * h[blk, None], _HALF_SIN * g[blk, None], out=m[blk])
+    w = np.linalg.eigvalsh(m)
     return np.concatenate([w[..., -1], -w[..., 0]], axis=1)
 
 
@@ -312,7 +326,9 @@ def numerical_radius(a):
     Newton round and level-set solve), and a member that is done drops
     out of the later rounds.  Members go through in chunks whose scan
     holds at most _CHUNK = 2^17 complex entries (32 members at n = 16),
-    so that the working memory of a long stack stays bounded.
+    so that the working memory of a long stack stays bounded; `_scan`
+    forms a chunk's matrices in one buffer, with block temporaries of at
+    most _CHUNK // 64 entries (or one member's).
 
     Inputs are checked by `_radius_stack`.  Non-finite entries, or a
     finite entry whose modulus overflows, raise NonFiniteError (a

@@ -1,5 +1,6 @@
 import inspect
 import math
+import traceback
 import warnings
 import zlib
 from types import SimpleNamespace
@@ -958,6 +959,26 @@ def test_a_bound_builds_no_sibling_report():
     for bid in ("B16b", "B17"):
         rep = evaluate_bound(bid, **big)
         assert (rep.lhs, rep.rhs, rep.status()) == (2e160, 2e160, "pass"), bid
+
+
+def test_b08_takes_its_own_norm_where_a_siblings_overflows():
+    # with P and Q within rounding of (MAX/2) I, h(P) + h(Q) and P + Q
+    # overflow while B08's harmonic mean does not: the one joined norm
+    # call fails, so each id takes its own norms, and B08 gives its report
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    s = math.sqrt(np.finfo(float).max / 2)
+    ops = {"a": s * u, "b": s * u, "x": np.eye(2)}
+    rep = evaluate_bound("B08", **ops)
+    assert rep.hypothesis_ok and rep.status() == "pass"
+    assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
+    for bid in ("B09", "B10"):
+        try:
+            evaluate_bound(bid, **ops)
+        except NonFiniteError as exc:
+            # raised by the id's own norm, not by the joined call
+            frames = [f.name for f in traceback.extract_tb(exc.__cause__.__traceback__)]
+            assert "_norms" not in frames and "op_norm" in frames, bid
 
 
 def test_b07_slack_keeps_its_digits_under_rounding_perturbations():

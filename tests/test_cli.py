@@ -5,7 +5,13 @@ import pytest
 
 from numrad.catalog import LEMMAS, check_lemma
 from numrad.cli import load_matrix, main
-from numrad.harness import doc_to_matrix, matrix_to_doc, replay_failure
+from numrad.harness import (
+    CampaignConfig,
+    doc_to_matrix,
+    matrix_to_doc,
+    replay_failure,
+    run_campaign,
+)
 
 JORDAN = [[0, 1], [0, 0]]
 
@@ -488,6 +494,20 @@ def test_campaign_clean_bound(capsys, tmp_path):
     doc = json.loads((tmp_path / "run.json").read_text())
     assert doc["config"]["seed"] == 5
     assert doc["per_bound"]["B01"]["failed"] == 0
+
+
+def test_campaign_files_are_the_reports_text(capsys, tmp_path):
+    # the CLI writes each file a piece at a time; the bytes are those of
+    # to_csv() and to_json() of the same config's report
+    out = str(tmp_path / "run")
+    assert main(["campaign", "--bounds", "B01,B08,B18", "--trials", "6", "--dims", "2,3",
+                 "--seed", "4", "--with-info", "--out", out]) == 1
+    rep = run_campaign(CampaignConfig(bounds=("B01", "B08", "B18"), trials=6, dims=(2, 3),
+                                      seed=4), with_info=True)
+    assert rep.failures and rep.info_rows
+    assert (tmp_path / "run.csv").read_bytes() == rep.to_csv().encode("utf-8")
+    assert (tmp_path / "run.json").read_bytes() == rep.to_json().encode("utf-8")
+    capsys.readouterr()
 
 
 def test_campaign_exit_one_on_failures(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -338,16 +339,25 @@ def test_campaign_info_rows():
     assert rep.per_bound["B18"]["trials"] == 3
 
 
-@pytest.mark.parametrize("cfg", [CampaignConfig(seed=42),
-                                 CampaignConfig(trials=30, dims=(1, 2, 6), seed=7)],
-                         ids=["seed42", "seed7"])
-def test_to_json_matches_json_dumps(cfg):
+@pytest.mark.parametrize("cfg, failures", [
+    (CampaignConfig(seed=42), 1017),
+    (CampaignConfig(trials=30, dims=(1, 2, 6), seed=7), 144),
+    (CampaignConfig(bounds=("B01",), trials=5, seed=3), 0),
+    (CampaignConfig(bounds=("B08",), trials=1, seed=0), 1),
+], ids=["seed42", "seed7", "no-failure", "one-failure"])
+def test_to_json_matches_json_dumps(cfg, failures):
     rep = run_campaign(cfg, with_info=True)
+    assert len(rep.failures) == failures
     doc = {"config": rep.config, "per_bound": rep.per_bound, "rows": rep.rows,
            "failures": rep.failures, "info_rows": rep.info_rows}
     text = rep.to_json()
     assert text == json.dumps(doc, sort_keys=True, allow_nan=True)
     assert "\n" not in text
+    # the writers the CLI uses write the same text a piece at a time
+    for write, whole in ((rep.write_json, text), (rep.write_csv, rep.to_csv())):
+        buf = io.StringIO()
+        write(buf)
+        assert buf.getvalue() == whole
 
 
 def test_to_json_matches_json_dumps_on_edge_values():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from numrad.errors import (
     DimensionMismatchError,
     DomainViolationError,
+    InvalidSpecError,
     NotHermitianError,
     NotSquareError,
 )
@@ -191,6 +192,14 @@ def test_apply_fn_domain_violation():
         apply_fn(np.diag([1.0, 900.0]), np.expm1, "expm1")
     with pytest.raises(DomainViolationError):
         apply_fn(np.eye(2), lambda t: np.full_like(t, np.nan))
+
+
+def test_apply_fn_needs_an_elementwise_function():
+    # a function that does not map the eigenvalues elementwise is a bad
+    # specification, a NumradError, not a plain ValueError
+    for fn in (lambda t: 1.0, lambda t: t[:1]):
+        with pytest.raises(InvalidSpecError, match="^fn must map eigenvalues elementwise$"):
+            apply_fn(np.eye(2), fn)
 
 
 def test_apply_fn_clamps_edge_roundoff():

@@ -285,6 +285,12 @@ def test_kantorovich_outside_the_float_range_raises(m, big_m):
         kantorovich(m, big_m)
 
 
+def test_scalar_fn_needs_an_elementwise_function():
+    f = ScalarFn("one", "increasing", lambda t: 1.0)
+    with pytest.raises(InvalidSpecError, match="^one must map eigenvalues elementwise$"):
+        f(np.array([1.0, 2.0]))
+
+
 def test_spectrum_bounds_family():
     sb = spectrum_bounds([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])])
     assert sb == SpectrumBounds(0.5, 3.0)
@@ -293,6 +299,12 @@ def test_spectrum_bounds_family():
     assert spectrum_bounds([np.diag([2.0, 5.0])]) == SpectrumBounds(2.0, 5.0)
     with pytest.raises(HypothesisViolatedError):
         spectrum_bounds([])
+
+
+def test_spectrum_bounds_rejects_matrices_mixed_with_stacks():
+    for mats in ([np.eye(2)[None], np.eye(2)], [np.eye(2), np.eye(2)[None]]):
+        with pytest.raises(InvalidSpecError, match="matrices or stacks, not both"):
+            spectrum_bounds(mats)
 
 
 def test_spectrum_bounds_are_tight():

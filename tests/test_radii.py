@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ def test_half_scan_matches_the_full_scan():
         r = numerical_radius(a)
         w = numerical_radius_oracle(a)
         assert w - 1e-9 * (1.0 + w) <= r.value <= r.upper
+
+
+def test_scan_builds_its_matrices_in_one_buffer():
+    # the 16 rotations of a campaign-wide stack (17 members at n = 16) are
+    # formed in one (17, 16, 16, 16) buffer, a member block at a time, so
+    # the scan's peak stays near that buffer (both full-size products held
+    # at once take 2.24 times it).  The values are those of the products
+    # formed whole, bit for bit
+    rng = np.random.default_rng(17)
+    h, g = radii._herm_parts(np.array([_random_matrix(rng, 16) for _ in range(17)]))
+    buffer = 17 * radii._HALF * 16 * 16 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        got = radii._scan(h, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * buffer
+    w = np.linalg.eigvalsh(radii._HALF_COS * h[:, None] - radii._HALF_SIN * g[:, None])
+    want = np.concatenate([w[..., -1], -w[..., 0]], axis=1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_campaign_wide_dimension_is_one_chunk(monkeypatch):
