@@ -172,6 +172,14 @@ def _within(slack, rhs, atol, rtol) -> bool:
     return bool(slack >= -(atol + rtol * abs(rhs)))
 
 
+def _need_tolerance(v, name: str):
+    """``v`` if it can serve as atol or rtol of the tolerance rule, a
+    finite number >= 0, else InvalidSpecError naming it ``name``."""
+    if not 0.0 <= v < math.inf:
+        raise InvalidSpecError(f"{name} must be a finite number >= 0, got {v!r}")
+    return v
+
+
 def _report(bid, lhs, rhs, params=None, hypothesis_ok=True, note="") -> BoundReport:
     """A report on lhs <= rhs; a side that is not finite, such as a radius
     above the largest float, raises NonFiniteError."""
@@ -226,6 +234,22 @@ def _need_weight(nu):
     if not 0.0 < nu < 1.0:
         raise InvalidSpecError(f"weight must lie in (0, 1), got {nu}")
     return nu
+
+
+# the one rule of each grid key: it checks one member's value and returns
+# it in the form the staged evaluators use, h as its ScalarFn of the kind
+# the family needs and pair as given, once `get_pair` has resolved it
+_KEY_RULES = {"pair": lambda v: get_pair(v) and v, "h": _need_kind, "sigma": _mean_kind,
+              "nu": _need_weight, "p": _need_power}
+
+
+def _grid(a, kind=None, **keys) -> list:
+    """Each grid key's value in ``keys``, one value or a list of one per
+    member of the stack ``a``, as the list of its members' values, checked
+    by the key's rule (`_KEY_RULES`) key after key in the order given; h
+    comes back as its ScalarFn of kind ``kind``."""
+    rules = {**_KEY_RULES, "h": partial(_need_kind, kind=kind)}
+    return [[rules[key](v) for v in _each(value, len(a))] for key, value in keys.items()]
 
 
 def _commutation(mod, y):
@@ -298,7 +322,8 @@ def _by_id(k, member):
     """Reports of k members as one function per id that builds the id's
     list when read (`_stage`), member(j) giving member j's report builders
     in id order: so no id's report waits on a formula only a sibling
-    reads, and a single bound builds its own reports alone."""
+    reads, and a single bound builds its own reports alone.  Of no
+    members, no function at all."""
     return tuple(lambda col=col: [b() for b in col] for col in zip(*map(member, range(k))))
 
 
@@ -307,14 +332,15 @@ def _by_id(k, member):
 # of trials: it takes each operand as a (k, m, n) stack, checked where it
 # entered (`_operands`, called by `_alone` and `stage_family`), and each
 # grid key as a list of k values (or one value for all), checks every
-# member's parameters, yields once the stacks whose numerical radii it reads,
-# receives their values (one list per stack) and returns its reports, one
-# list of k per id in the order of the family's ids, or a function that
-# builds the list when read (`_by_id`), so that a single bound builds no
-# sibling's report.  Each step of a formula is one stacked call
-# on all members that need it; a gate picks the members that pass it
-# before any function with a pole or a domain runs on them, and a scalar
-# function or exponent of a member is applied to its own eigenvalues.  So
+# member's parameters (`_grid`, one rule per key), yields once the stacks
+# whose numerical radii it reads, receives their values (one list per
+# stack) and returns its reports, one list of k per id in the order of the
+# family's ids, or a function that builds the list when read (`_by_id`),
+# so that a single bound builds no sibling's report.  Each step of a
+# formula is one stacked call on all members that need it; a gate picks
+# the members that pass it before any function with a pole or a domain
+# runs on them, and a scalar function or exponent of a member is applied
+# to its own eigenvalues.  So
 # member j's reports equal those of trial j evaluated alone bit for bit.
 # A campaign stages each family's trials of one dimension as one stack and
 # computes every radius of one size in one stacked `numerical_radius`
@@ -379,7 +405,8 @@ def _stage(gen):
             except StopIteration as done:
                 cols = [c() if callable(c) else c for c in (
                     done.value if only is None else done.value[only:only + 1])]
-                return list(zip(*cols)) if only is None else cols[0]
+                # of no members, an evaluator may return no list at all
+                return list(zip(*cols)) if only is None else [r for c in cols for r in c]
         raise RuntimeError("a staged evaluator yields once")
 
     return inputs, finish
@@ -393,9 +420,10 @@ _MATRIX_CHECKS = (_require_finite.__code__, numerical_radius.__code__)
 def _alone(evaluator, operands, only=None, **params):
     """A staged evaluator's reports on its matrices ``operands`` (named A,
     B, X in order), each a matrix or a (k, m, n) stack of trials, and the
-    grid keys ``params``, each one value or a list of k: per member, one
-    tuple of reports in id order, or with ``only`` the report at that id
-    index; of matrices, a stack of one, the one member's.
+    grid keys ``params``, each one value or a list of k, or None for the
+    evaluator's default: per member, one tuple of reports in id order, or
+    with ``only`` the report at that id index; of matrices, a stack of
+    one, the one member's.
 
     The operands are checked here (`_operands`), before any parameter,
     so a matrix check (`_MATRIX_CHECKS`) that fails later has met a
@@ -407,7 +435,8 @@ def _alone(evaluator, operands, only=None, **params):
     # kernel, and kernels differ in the last bit
     stacks = [np.ascontiguousarray(m) for m in _operands(*operands)]
     try:
-        inputs, finish = _stage(evaluator(*stacks, **params))
+        inputs, finish = _stage(evaluator(
+            *stacks, **{k: v for k, v in params.items() if v is not None}))
         reports = finish(radius_values(inputs), only)
     except NonFiniteError as exc:
         if inspect.trace(0)[-1].frame.f_code not in _MATRIX_CHECKS:
@@ -430,7 +459,7 @@ def _finite_square(m) -> np.ndarray:
 # B01-B05: norm/radius comparisons with no structural hypotheses
 
 
-def check_classics(a, b, x, p: float = 1.0):
+def check_classics(a, b, x, p=None):
     """B01-B05, norm and radius comparisons with no structural
     hypotheses, at one power p >= 1.
 
@@ -455,7 +484,7 @@ def _classics(a, b, x, p=1.0):
     no sibling's formula.  Matrices that overflow are formed without a
     warning, as every formula behind the staging boundary is (`_quiet`),
     and each raises NonFiniteError in its own report."""
-    p = [_need_power(v) for v in _each(p, len(a))]
+    p, = _grid(a, p=p)
     ah, bh = _adj(a), _adj(b)
     ins = a, bh @ a, a @ bh, _target(a, b, x)
     ws = yield tuple(_finite_square(m) for m in ins)
@@ -528,7 +557,7 @@ def _target(a, b, x):
     return _adj(a) @ x @ b
 
 
-def check_mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
+def check_mean_h(a, b, x, pair=None, h=None, sigma=None):
     """B06 and B06p, the Kantorovich-weighted mean claims at weight 1/2.
 
     With P = B* f^2(|X|) B and Q = A* g^2(|X*|) A positive definite,
@@ -564,11 +593,8 @@ def _gated(gate, params, ids, live_reports):
 def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     """Staged B06 and B06p; w(A*XB) of the members whose P and Q pass the
     gate."""
-    k = len(a)
-    pair, sigma = _each(pair, k), _each(sigma, k)
-    hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
+    hf, pair, sigma = _grid(a, "decreasing", h=h, pair=pair, sigma=sigma)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
-    sigma = [_mean_kind(v) for v in sigma]
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": 0.5}
               for pr, f, sg in zip(pair, hf, sigma)]
     ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
@@ -586,8 +612,7 @@ def _mean_h(a, b, x, pair="sqrt", h="inv", sigma="arith"):
     return _gated(gate, params, ("B06", "B06p"), reports)
 
 
-def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
-                          nu=0.5) -> BoundReport:
+def check_mean_h_weighted(a, b, x, pair=None, h=None, sigma=None, nu=None) -> BoundReport:
     """B07, the weighted variant on powered operators.
 
         || h(P^{1/(1-nu)}) sigma_nu h(Q^{1/nu}) ||
@@ -601,12 +626,8 @@ def check_mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith",
 def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     """Staged B07; w(A*XB) of the members whose powered pair passes the
     gate.  The powered pair is taken on the factorizations of P and Q."""
-    k = len(a)
-    pair, sigma = _each(pair, k), _each(sigma, k)
-    hf = [_need_kind(v, "decreasing") for v in _each(h, k)]
-    nu = [_need_weight(v) for v in _each(nu, k)]
+    hf, nu, pair, sigma = _grid(a, "decreasing", h=h, nu=nu, pair=pair, sigma=sigma)
     ep, eq = _pair(herm_eigen, *_mean_pq(a, b, x, pair))
-    sigma = [_mean_kind(v) for v in sigma]
     params = [{"pair": str(pr), "h": f.name, "sigma": str(sg), "nu": v}
               for pr, f, sg, v in zip(pair, hf, sigma, nu)]
     epw, eqw, gate = _pd_gate(_on_spectrum(ep, [_power(1.0 / (1.0 - v)) for v in nu]),
@@ -624,7 +645,7 @@ def _mean_h_weighted(a, b, x, pair="sqrt", h="inv", sigma="arith", nu=0.5):
     return _gated(gate, params, ("B07",), reports)
 
 
-def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
+def check_omega_harmonic(a, b, x, pair=None, h=None, p=None):
     """B08-B10: radius bounded by Kantorovich-weighted combinations of P, Q.
 
         B08:  w(A*XB)      <= (m k / M)  || P ! Q ||      (! at weight 1/2)
@@ -637,10 +658,7 @@ def check_omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
 def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
     """Staged B08-B10; w(A*XB) of the members whose P and Q pass the gate.
     The gate's factorizations of P and Q serve every formula."""
-    k = len(a)
-    pair = _each(pair, k)
-    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
-    p = [_need_power(v) for v in _each(p, k)]
+    hf, p, pair = _grid(a, "increasing", h=h, p=p, pair=pair)
     p_mat, q_mat = _mean_pq(a, b, x, pair)
     params = [{"pair": str(pr), "h": f.name, "p": e} for pr, f, e in zip(pair, hf, p)]
     ep, eq, gate = _pd_gate(p_mat, q_mat, "P or Q")
@@ -671,7 +689,7 @@ def _omega_harmonic(a, b, x, pair="sqrt", h="pow:1", p: float = 1.0):
 # B11-B15: product, Aluthge-type, and block bounds
 
 
-def check_mox(a, b, h="pow:1", p: float = 1.0):
+def check_mox(a, b, h=None, p=None):
     """B11 and B12, convex splittings of w(A*B).
 
         B11: h(w(A*B))  <= h(||A|| ||B||)/2 + h(w(BA*))/2
@@ -682,9 +700,7 @@ def check_mox(a, b, h="pow:1", p: float = 1.0):
 
 def _mox(a, b, h="pow:1", p: float = 1.0):
     """Staged B11 and B12: w(A*B) and w(BA*)."""
-    k = len(a)
-    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
-    p = [_need_power(v) for v in _each(p, k)]
+    hf, p = _grid(a, "increasing", h=h, p=p)
     w, w_rev = yield _adj(a) @ b, b @ _adj(a)
     na, nb = _pair(op_norm, a, b)
     prod = (na * nb).tolist()
@@ -696,7 +712,7 @@ def _mox(a, b, h="pow:1", p: float = 1.0):
                 lambda: _report("B12", _pow(v, e), 0.5 * _pow(prod[j], e) + 0.5 * _pow(r, e),
                                 {"p": e, "omega_rev": r}))
 
-    return _by_id(k, member)
+    return _by_id(len(a), member)
 
 
 def _aluthge_parts(a, pair):
@@ -715,7 +731,7 @@ def aluthge_transform(a, pair="sqrt") -> np.ndarray:
     return _aluthge_parts(a, pair)[3]
 
 
-def check_aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
+def check_aluthge(a, pair=None, h=None, p=None):
     """B13 and B15 via the pair-generalized Aluthge transform.
 
     With A = U|A| and At = f(|A|) U g(|A|):
@@ -731,10 +747,7 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
     g and h increase and vanish at 0, so the norms of f(|A|), g(|A|) and
     h(f^2(|A|)) + h(g^2(|A|)) are those functions of ||A||, the top
     singular value."""
-    k = len(a)
-    pair = _each(pair, k)
-    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
-    p = [_need_power(v) for v in _each(p, k)]
+    hf, p, pair = _grid(a, "increasing", h=h, p=p, pair=pair)
     a = _radius_stack(a)[0]
     abs_a, fs, gs, at = _aluthge_parts(a, pair)
     w, wt = yield a, at
@@ -749,7 +762,7 @@ def _aluthge(a, pair="sqrt", h="pow:1", p: float = 1.0):
                 lambda: _report("B15", f(v), 0.25 * (f(nf * nf) + f(ng * ng)) + 0.5 * f(t),
                                 params))
 
-    return _by_id(k, member)
+    return _by_id(len(a), member)
 
 
 def check_block(a, b, x) -> BoundReport:
@@ -800,7 +813,7 @@ def _symmetrized(a, b, x):
 # B18-B21: the spectral-radius-weighted family under |A*|X = X*|A*|
 
 
-def check_alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
+def check_alpha(a, b, x, pair=None, h=None, nu=None):
     """B18-B21, radius-squared bounds weighted by the spectral radius of X.
 
     All four need the commutation hypothesis |A*|X = X*|A*| (checked to
@@ -827,10 +840,8 @@ def _mix(c1, c2, x, y):
 
 def _alpha(a, b, x, pair="sqrt", h="pow:1", nu=0.5):
     """Staged B18-B21: w(A*XB)."""
+    hf, nu, pair = _grid(a, "increasing", h=h, nu=nu, pair=pair)
     k = len(a)
-    hf = [_need_kind(v, "increasing") for v in _each(h, k)]
-    nu = [_need_weight(v) for v in _each(nu, k)]
-    pair = _each(pair, k)
     fs, gs = _pair_fns(pair, k)
     e_a, e_as, _ = moduli(a)
     dev, comm_ok = (v.tolist() for v in _commutation(e_as, x))
@@ -1188,7 +1199,9 @@ def check_lemma(lemma_id: str, **inputs):
     checked here, before any parameter, and each error names the operand's
     flag: a missing one raises InvalidSpecError, a matrix goes through
     `as_cmatrix` and a vector (``Lemma.vectors``) through `_unit_vec`, so
-    a handler takes 2-D complex matrices and flat unit vectors.
+    a handler takes 2-D complex matrices and flat unit vectors.  Each
+    parameter takes one value: a list, tuple or array raises
+    InvalidSpecError naming it.
     """
     try:
         lem = LEMMAS[lemma_id]
@@ -1202,6 +1215,9 @@ def check_lemma(lemma_id: str, **inputs):
         if inputs.get(kw) is not None:
             inputs[kw] = (_unit_vec(inputs[kw], len(inputs[lem.flags["A"]]), flag)
                           if flag in lem.vectors else as_cmatrix(inputs[kw], flag))
+    for key in lem.params:
+        if isinstance(inputs.get(key), (list, tuple, np.ndarray)):
+            raise InvalidSpecError(f"{lemma_id}: {key} takes one value, got {inputs[key]!r}")
     return lem.handler(**inputs)
 
 
@@ -1226,8 +1242,9 @@ class Family:
     ``name`` salts the campaign seeds, so it never changes.  ``evaluator``
     is the family's staged evaluator.  It takes ``operands`` positionally,
     as stacks of trials, and each key of ``grids`` as a keyword, one value
-    per trial; its signature holds the only default of each key, which
-    `evaluate_bound` and ``numrad check`` use for a key not given.  It
+    per trial, checked by the key's rule (`_grid`); its signature holds
+    the only default of each key, which `_alone`, and so `evaluate_bound`,
+    each ``check_*`` and ``numrad check``, uses for a key given as None.  It
     yields once the stacks whose radii it reads (classics: A, B*A, AB*, A*XB;
     block: A*XB, XBA*, BA*X; ...), and returns its reports, one list per
     id or a function that builds it when read.  Campaigns cycle each grid
@@ -1336,7 +1353,7 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
     report, and in B01-B05, whose ids read different operands, neither
     can a sibling's formula.  Missing required operands raise
     InvalidSpecError.  A grid key left None takes the family evaluator's
-    default.
+    default (`_alone`).
     """
     fam = family_of(bound_id)
     reads, need = fam.reads_of(bound_id), required_operands(bound_id)
@@ -1346,9 +1363,8 @@ def evaluate_bound(bound_id: str, *, a=None, b=None, x=None, p=None,
     mats = {n: got[n] if n in need else np.zeros(
         shape[:-1] + shape[-2:-1] if n == "x" else shape) for n in fam.operands}
     given = {"p": p, "nu": nu, "pair": pair, "h": h, "sigma": sigma}
-    params = {k: given[k] for k in fam.grids if k in reads and given[k] is not None}
-    reps = _alone(fam.evaluator, [mats[n] for n in fam.operands],
-                  fam.ids.index(bound_id), **params)
+    reps = _alone(fam.evaluator, [mats[n] for n in fam.operands], fam.ids.index(bound_id),
+                  **{k: v for k, v in given.items() if k in reads})
 
     def own(rep):
         return replace(rep, params={k: v for k, v in rep.params.items()

@@ -19,10 +19,9 @@ import numpy as np
 
 from .catalog import (
     ALL_BOUND_IDS,
-    ATOL,
     LEMMA_IDS,
     LEMMAS,
-    RTOL,
+    _need_tolerance,
     aluthge_transform,
     check_lemma,
     evaluate_bound,
@@ -156,6 +155,7 @@ _EXIT = {"pass": EXIT_OK, "fail": EXIT_VIOLATED, "skip": EXIT_HYPOTHESIS}
 
 
 def cmd_check(args) -> int:
+    tol = () if args.tol is None else (_need_tolerance(args.tol, "--tol"),) * 2
     if args.bound in LEMMAS:
         lem = LEMMAS[args.bound]
         params = {name: getattr(args, name) for name in lem.params
@@ -177,15 +177,13 @@ def cmd_check(args) -> int:
     else:
         for k, v in doc.items():
             print(f"{k} = {v}")
-    tol = () if args.tol is None else (args.tol, args.tol)
     return _EXIT[rep.status(*tol)]
 
 
 def cmd_campaign(args) -> int:
-    bounds = tuple(args.bounds.split(",")) if args.bounds else ALL_BOUND_IDS
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (2, 3, 4, 5)
-    cfg = CampaignConfig(bounds=bounds, trials=args.trials, dims=dims,
-                         seed=args.seed, atol=args.atol, rtol=args.rtol)
+    # an option not given takes CampaignConfig's default
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(CampaignConfig)}
+    cfg = CampaignConfig(**{k: v for k, v in given.items() if v is not None})
     report = run_campaign(cfg, with_info=args.with_info)
     for line in report.summary_lines():
         print(line)
@@ -210,6 +208,15 @@ def cmd_repro(args) -> int:
             print(f"{r.label:<{width}}  computed={r.computed:<22.16g} "
                   f"reference={r.reference:<10g} abs_error={r.abs_error:.6g}  {mark}")
     return EXIT_OK if all(r.within for r in rows) else EXIT_VIOLATED
+
+
+def _listed(item):
+    """An argparse type: comma-separated values, each item(value); an
+    empty text is None, as if the option were not given."""
+    def listed(text):
+        return tuple(map(item, text.split(","))) if text else None
+    listed.__name__ = f"comma-separated {item.__name__}"  # argparse's name for it
+    return listed
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +258,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.set_defaults(fn=cmd_check)
 
     cp = sub.add_parser("campaign", help="run a seeded falsification campaign")
-    cp.add_argument("--bounds", default=None, help="comma-separated bound IDs")
-    cp.add_argument("--trials", type=int, default=200)
-    cp.add_argument("--dims", default=None, help="comma-separated dimensions")
-    cp.add_argument("--seed", type=int,
-                    default=int(os.environ.get("RADII_SEED", "42")))
+    cp.add_argument("--bounds", type=_listed(str), help="comma-separated bound IDs")
+    cp.add_argument("--trials", type=int)
+    cp.add_argument("--dims", type=_listed(int), help="comma-separated dimensions")
+    cp.add_argument("--seed", type=int, default=os.environ.get("RADII_SEED"))
     cp.add_argument("--out", default=None, help="prefix for .csv/.json reports")
-    cp.add_argument("--atol", type=float, default=ATOL)
-    cp.add_argument("--rtol", type=float, default=RTOL)
+    cp.add_argument("--atol", type=float)
+    cp.add_argument("--rtol", type=float)
     cp.add_argument("--with-info", action="store_true",
                     help="append verdict-free unconstrained-X rows for B18-B21")
     cp.set_defaults(fn=cmd_campaign)

@@ -35,6 +35,7 @@ from .catalog import (  # the grids are re-exported for callers of this module
     PAIR_GRID,
     RTOL,
     SIGMA_GRID,
+    _need_tolerance,
     compatible_signatures,
     evaluate_bound,
     family_of,
@@ -213,6 +214,10 @@ class CampaignConfig:
     """What to run: bound IDs (aliases expanded), trial count, dimension
     cycle, master seed, and the tolerance (atol, rtol) of the verdicts.
 
+    The trial count is an integer >= 1, each dimension an integer in
+    1..16 (numpy integers are taken as Python ints) and each tolerance a
+    finite number >= 0; anything else raises InvalidSpecError.
+
     Each family's parameters come from its grids in ``catalog.FAMILIES``,
     cycled by trial index.
     """
@@ -226,11 +231,15 @@ class CampaignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", _expand_bounds(self.bounds))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.trials < 1:
-            raise InvalidSpecError("trials must be >= 1")
-        if not self.dims or any(not 1 <= d <= 16 for d in self.dims):
-            raise InvalidSpecError("dims must be a nonempty list within 1..16")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise InvalidSpecError(f"trials must be an integer >= 1, got {self.trials!r}")
+        dims = tuple(self.dims)
+        if not dims or not all(isinstance(d, (int, np.integer)) and 0 < d <= 16 for d in dims):
+            raise InvalidSpecError(f"dims must be a nonempty list of integers in 1..16, got {dims}")
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "trials", int(self.trials))
+        _need_tolerance(self.atol, "atol")
+        _need_tolerance(self.rtol, "rtol")
 
 
 def _draw(cfg: CampaignConfig, operands, salt: int, t: int, commuting: bool):

@@ -71,11 +71,10 @@ class HermEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def compose(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Rebuild V diag(values) V*; defaults to the original eigenvalues."""
-        w = self.eigenvalues if values is None else np.asarray(values)
+    def compose(self) -> np.ndarray:
+        """Rebuild V diag(w) V*."""
         v = self.eigenvectors
-        return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def take(self, idx) -> HermEigen:
         """The factorizations of the members at the sorted indices ``idx``
@@ -327,7 +326,7 @@ def apply_fn(h, fn, name: str = "fn", pole: bool = False) -> np.ndarray:
     if not np.isfinite(vals).all():
         j = np.isfinite(vals).all(axis=1).argmin()
         _fn_values(fns[j], args[j], names[j])  # raises DomainViolationError
-    return e.compose(vals if w.ndim == 2 else vals[0])
+    return HermEigen(vals if w.ndim == 2 else vals[0], e.eigenvectors).compose()
 
 
 def _pd_ok(w):

@@ -3,6 +3,7 @@ import math
 import traceback
 import warnings
 import zlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -1270,3 +1271,76 @@ def test_an_invalid_mean_is_rejected_before_the_gate():
     for bad in ({"sigma": "bogus"}, {"tau": "bogus"}, {"nu": 5.0}):
         with pytest.raises(InvalidSpecError):
             check_lemma("L02", a=indefinite, b=I2, **bad)
+
+
+_WRAPPERS = [n for n in catalog.__all__ if n.startswith("check_") and n != "check_lemma"]
+
+
+def _wrapper_operands(fn, mats) -> list:
+    return [mats[p] for p in inspect.signature(fn).parameters if p in mats]
+
+
+def test_an_empty_stack_gives_no_reports():
+    # a stack of no trials gives an empty list for every id and every
+    # check_*; a list key must still hold one value per member
+    empty = np.zeros((0, 2, 2))
+    for bid in ALL_BOUND_IDS:
+        assert evaluate_bound(bid, a=empty, b=empty, x=empty) == [], bid
+    assert len(_WRAPPERS) == 9
+    for name in _WRAPPERS:
+        fn = getattr(catalog, name)
+        assert fn(*_wrapper_operands(fn, dict.fromkeys("abx", empty))) == [], name
+    for bid, key, value in [("B03", "p", [1.0]), ("B07", "nu", [0.5]), ("B08", "pair", ["sqrt"]),
+                            ("B09", "h", ["pow:1"]), ("B06", "sigma", ["arith"])]:
+        with pytest.raises(DimensionMismatchError, match="^1 values for a stack of 0$"):
+            evaluate_bound(bid, a=empty, b=empty, x=empty, **{key: value})
+
+
+def test_each_grid_default_is_written_once():
+    # every grid key of a check_* defaults to None, so its family
+    # evaluator's signature holds the key's only default; a wrapper
+    # called without keys gives each id's evaluate_bound report, and
+    # evaluate_bound gives the same report at the evaluator's defaults
+    rng = np.random.default_rng(271)
+    mats = {n: _rand(rng, 2) for n in "abx"}
+    for name in _WRAPPERS:
+        fam = next(f for f in FAMILIES if name == "check_" + f.name)
+        fn = getattr(catalog, name)
+        params = inspect.signature(fn).parameters
+        keys = [p for p in params if p in catalog._KEY_RULES]
+        assert sorted(keys) == sorted(fam.grids), name
+        assert all(params[k].default is None for k in keys), name
+        defaults = inspect.signature(fam.evaluator).parameters
+        got = fn(*_wrapper_operands(fn, mats))
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(fam.ids), name
+        for rep, bid in zip(got, fam.ids):
+            ops = {n: mats[n] for n in fam.operands}
+            ref = evaluate_bound(bid, **ops)
+            assert ref.params.items() <= rep.params.items(), bid
+            assert repr(replace(rep, params=ref.params)) == repr(ref), bid
+            at_defaults = evaluate_bound(bid, **ops, **{k: defaults[k].default for k in keys})
+            assert repr(at_defaults) == repr(ref), bid
+
+
+def test_a_lemma_parameter_takes_one_value():
+    # a list, tuple or array for a Lemma.params key is rejected by name,
+    # so a lemma's report records each parameter as one replayable value
+    e1, pd = np.array([1.0, 0.0]), np.diag([2.0, 1.0])
+    checked = 0
+    for lid, lem in LEMMAS.items():
+        ops = {kw: e1 if flag in lem.vectors else pd for flag, kw in lem.flags.items()
+               if flag not in lem.optional}
+        defaults = inspect.signature(lem.handler).parameters
+        for key in lem.params:
+            one = defaults[key].default
+            assert repr(check_lemma(lid, **ops, **{key: one})) == repr(check_lemma(lid, **ops))
+            for many in ([one], (one,), np.array([one])):
+                with pytest.raises(InvalidSpecError, match=f"^{lid}: {key} takes one value"):
+                    check_lemma(lid, **ops, **{key: many})
+                checked += 1
+    assert checked == 3 * 9  # L01 and L08's pair, L02's four, L03's h, L09's two
+    with pytest.raises(InvalidSpecError, match="^L02: sigma takes one value"):
+        check_lemma("L02", a=pd, b=pd, sigma=["geom"])
+    with pytest.raises(InvalidSpecError, match="^L09: nu takes one value"):
+        check_lemma("L09", p=pd, q=pd, nu=[0.5])

@@ -146,6 +146,17 @@ def test_check_tol_override_can_accept(tmp_path, ident):
     assert rc == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_a_tolerance_out_of_range(capsys, ident, tol):
+    # --tol nan would fail an exact equality and --tol inf pass everything
+    assert main(["check", "--bound", "B01", "--A", ident, "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol must be a finite number >= 0")
+    assert main(["check", "--bound", "B01", "--A", ident, "--tol", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_check_hypothesis_exit(tmp_path, ident):
     xs = _write(tmp_path, "sing.json", np.diag([0.0, 1.0]))
     rc = main(["check", "--bound", "B06", "--A", ident, "--B", ident,
@@ -547,6 +558,26 @@ def test_campaign_dims_flag_and_bad_bound(capsys, tmp_path):
     rows = (tmp_path / "d.csv").read_text().strip().split("\n")[1:]
     assert [r.split(",")[2] for r in rows] == ["3", "4"]
     assert main(["campaign", "--bounds", "B99", "--trials", "1"]) == 3
+    capsys.readouterr()
+
+
+def test_campaign_rejects_tolerances_and_dims_out_of_range(capsys):
+    for option in ("--atol=nan", "--atol=inf", "--rtol=-1e-9"):
+        assert main(["campaign", "--bounds", "B01", "--trials", "3", option]) == 3
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+    # dims that are not integers do not parse
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--bounds", "B01", "--trials", "1", "--dims", "2.5"])
+    assert exc.value.code == 2
+    assert "--dims: invalid comma-separated int value: '2.5'" in capsys.readouterr().err
+
+
+def test_campaign_empty_bounds_and_dims_take_the_defaults(capsys, tmp_path):
+    out = str(tmp_path / "e")
+    main(["campaign", "--bounds", "", "--dims", "", "--trials", "1", "--out", out])
+    doc = json.loads((tmp_path / "e.json").read_text())
+    assert doc["config"]["dims"] == [2, 3, 4, 5]
+    assert len(doc["config"]["bounds"]) == 23
     capsys.readouterr()
 
 

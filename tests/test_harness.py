@@ -185,6 +185,34 @@ def test_campaign_config_validation():
         CampaignConfig(dims=(0, 3))
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"atol": float("nan")}, "^atol must be a finite number >= 0, got nan$"),
+    ({"atol": float("inf")}, "^atol must be a finite number >= 0"),
+    ({"atol": -1e-9}, "^atol must be a finite number >= 0"),
+    ({"rtol": float("nan")}, "^rtol must be a finite number >= 0"),
+    ({"rtol": float("inf")}, "^rtol must be a finite number >= 0"),
+    ({"rtol": -1.0}, "^rtol must be a finite number >= 0"),
+    ({"trials": 2.5}, "^trials must be an integer >= 1, got 2.5$"),
+    ({"dims": (2.5,)}, r"^dims must be a nonempty list of integers in 1\.\.16"),
+    ({"dims": (2, 3.0)}, r"^dims must be a nonempty list of integers in 1\.\.16"),
+])
+def test_campaign_config_rejects_tolerances_and_counts_out_of_range(bad, match):
+    # a tolerance that is not a finite number >= 0 would fail or pass every
+    # row, and a count that is not an integer would be truncated or fail
+    # late with a bare TypeError
+    with pytest.raises(InvalidSpecError, match=match):
+        CampaignConfig(**{"bounds": ("B01",), "trials": 3, **bad})
+
+
+def test_campaign_config_takes_numpy_integers_and_zero_tolerances():
+    cfg = CampaignConfig(bounds=("B01",), trials=np.int64(2), dims=np.array([2, 3]),
+                         atol=0.0, rtol=0.0)
+    assert cfg.dims == (2, 3) and all(type(d) is int for d in cfg.dims)
+    assert type(cfg.trials) is int
+    rep = run_campaign(cfg)
+    assert len(rep.rows) == 2 and json.loads(rep.to_json())["config"]["trials"] == 2
+
+
 def test_campaign_counts_add_up():
     cfg = CampaignConfig(bounds=("B01", "B14"), trials=6, dims=(2, 3), seed=5)
     rep = run_campaign(cfg)
